@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
@@ -24,10 +23,6 @@ struct OpenTxTag {
   uint64_t tx_id = 0;
 };
 thread_local OpenTxTag tls_open_tx;
-
-// Never reused, so a stale thread-local buffer entry from a destroyed log
-// can never alias a new one.
-std::atomic<uint64_t> next_log_id{1};
 
 // Bucket hash for the per-shard flat index. The shard choice already
 // consumed the cache-line bits (ShardOf), so mix the raw address and fold
@@ -137,8 +132,7 @@ uint8_t* PayloadArena::Alloc(size_t size) {
 CheckpointLog::CheckpointLog(PmemPool& pool, CheckpointConfig config)
     : pool_(&pool),
       device_(&pool.device()),
-      config_(config),
-      log_id_(next_log_id.fetch_add(1)) {
+      config_(config) {
   for (Shard& shard : shards_) {
     shard.arena.BindChunkCounter(&arena_bytes_);
   }
@@ -257,29 +251,20 @@ CheckpointEntry& CheckpointLog::GetOrCreateLocked(Shard& shard,
   return entry;
 }
 
-CheckpointLog::TxBuffer& CheckpointLog::LocalTxBuffer() const {
-  thread_local std::unordered_map<uint64_t, TxBuffer*> tls_buffers;
-  auto it = tls_buffers.find(log_id_);
-  if (it == tls_buffers.end()) {
-    auto owned = std::make_unique<TxBuffer>();
-    TxBuffer* raw = owned.get();
-    {
-      std::lock_guard<std::mutex> aux(aux_mutex_);
-      tx_buffers_.push_back(std::move(owned));
-    }
-    it = tls_buffers.emplace(log_id_, raw).first;
-  }
-  return *it->second;
-}
-
 void CheckpointLog::PublishTxBuffersLocked() const {
-  for (const auto& buffer : tx_buffers_) {
-    for (const auto& [seq, tx] : buffer->pairs) {
+  tx_buffers_.ForEach([this](TxBuffer& buffer) {
+    for (const auto& [seq, tx] : buffer.pairs) {
       seq_to_tx_[seq] = tx;
       tx_to_seqs_[tx].push_back(seq);
     }
-    buffer->pairs.clear();
-  }
+    buffer.pairs.clear();
+  });
+}
+
+void CheckpointLog::PublishRetainedVersions() const {
+  ARTHAS_GAUGE_SET("checkpoint.versions.retained", retained_versions_.load());
+  ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
+                      retained_versions_.load());
 }
 
 void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
@@ -350,7 +335,7 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
   if (tx_id != 0) {
     // Lock-free on the persist path: staged locally, published at commit.
     ARTHAS_PROFILE(kBookkeeping);
-    LocalTxBuffer().pairs.emplace_back(seq, tx_id);
+    tx_buffers_.Local()->pairs.emplace_back(seq, tx_id);
   }
   ARTHAS_PROFILE(kObsHook);
   stats_.records++;
@@ -361,14 +346,11 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
   // the new-version and undo copies the log makes per persisted range.
   ARTHAS_COUNTER_ADD("checkpoint.record.count", 1);
   ARTHAS_COUNTER_ADD("checkpoint.copy.bytes", 2 * size);
-  ARTHAS_GAUGE_SET("checkpoint.versions.retained", retained_versions_.load());
   ARTHAS_GAUGE_SET("checkpoint.entries.count", entry_count_.load());
-  // Capacity-plane names (the STATS `checkpoint.` prefix filter and the
-  // growth analyzer read these; the two above predate the capacity plane).
-  ARTHAS_GAUGE_SET("checkpoint.retained_versions", retained_versions_.load());
+  // Capacity-plane name (the STATS `checkpoint.` prefix filter and the
+  // growth analyzer read it).
   ARTHAS_GAUGE_SET("checkpoint.arena_bytes", arena_bytes_.load());
-  ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
-                      retained_versions_.load());
+  PublishRetainedVersions();
 }
 
 void CheckpointLog::OnAlloc(PmOffset offset, size_t size) {
@@ -427,7 +409,7 @@ void CheckpointLog::OnTxCommit(uint64_t /*tx_id*/) {
   // Publish this thread's staged attribution pairs. Only the owning thread
   // appends to its buffer, so taking aux here races with nothing but other
   // publishers.
-  TxBuffer& buffer = LocalTxBuffer();
+  TxBuffer& buffer = *tx_buffers_.Local();
   if (buffer.pairs.empty()) {
     return;
   }
@@ -672,12 +654,7 @@ Result<bool> CheckpointLog::RevertSeq(SeqNum seq) {
     discard_from(static_cast<size_t>(idx) + 1);
     retained_versions_ -= discarded;
     ARTHAS_COUNTER_ADD("checkpoint.revert.count", discarded + 1);
-    ARTHAS_GAUGE_SET("checkpoint.versions.retained",
-                     retained_versions_.load());
-    ARTHAS_GAUGE_SET("checkpoint.retained_versions",
-                     retained_versions_.load());
-    ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
-                        retained_versions_.load());
+    PublishRetainedVersions();
     ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointRevert,
                          device_->device_id(), entry.address, discarded + 1,
                          seq, obs::FrReason::kDivergence);
@@ -702,10 +679,7 @@ Result<bool> CheckpointLog::RevertSeq(SeqNum seq) {
   discard_from(static_cast<size_t>(idx));
   retained_versions_ -= discarded;
   ARTHAS_COUNTER_ADD("checkpoint.revert.count", discarded);
-  ARTHAS_GAUGE_SET("checkpoint.versions.retained", retained_versions_.load());
-  ARTHAS_GAUGE_SET("checkpoint.retained_versions", retained_versions_.load());
-  ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
-                      retained_versions_.load());
+  PublishRetainedVersions();
   ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointRevert, device_->device_id(),
                        entry.address, discarded, seq);
   return false;
@@ -746,10 +720,7 @@ Result<uint64_t> CheckpointLog::RollbackToSeq(SeqNum seq) {
   stats_.reverted_updates += discarded;
   retained_versions_ -= discarded;
   ARTHAS_COUNTER_ADD("checkpoint.revert.count", discarded);
-  ARTHAS_GAUGE_SET("checkpoint.versions.retained", retained_versions_.load());
-  ARTHAS_GAUGE_SET("checkpoint.retained_versions", retained_versions_.load());
-  ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
-                      retained_versions_.load());
+  PublishRetainedVersions();
   ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointRollback,
                        device_->device_id(), 0, discarded, seq);
   return discarded;

@@ -38,7 +38,8 @@
 //     transaction maps).
 //   * Transaction attribution is per-thread: begin/persist/commit of one
 //     transaction run on the thread executing it. seq->tx pairs are staged
-//     in a thread-local buffer (no lock on the persist path) and published
+//     in a per-thread buffer (a common/thread_registry.h ThreadRegistry
+//     entry; no lock on the persist path) and published
 //     into the global maps when the owning thread commits; queries that need
 //     the maps (SeqsInSameTx, Serialize) drain every thread's buffer first,
 //     which is safe because they are caller-serialized (quiesced).
@@ -71,6 +72,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_registry.h"
 #include "pmem/pool.h"
 
 namespace arthas {
@@ -398,8 +400,6 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   CheckpointEntry& GetOrCreateLocked(Shard& shard, PmOffset address,
                                      size_t size);
 
-  // This thread's staging buffer for this log (registered on first use).
-  TxBuffer& LocalTxBuffer() const;
   // Moves every thread's staged pairs into seq_to_tx_/tx_to_seqs_.
   // Requires aux_mutex_; races with nothing when caller-serialized.
   void PublishTxBuffersLocked() const;
@@ -414,13 +414,12 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Index-footprint growth (entries never shrink outside destruction):
   // bumps index_bytes_ and the "checkpoint.index.bytes" accountant cell.
   void AddIndexBytes(size_t bytes);
+  // Publishes retained_versions_ to its gauge and capacity cell.
+  void PublishRetainedVersions() const;
 
   PmemPool* pool_;  // null after Detach()
   PmemDevice* device_;
   CheckpointConfig config_;
-  // Process-unique id keying the thread-local buffer registry (never
-  // reused, so a stale TLS entry can never alias a new log).
-  const uint64_t log_id_;
   std::array<Shard, kNumShards> shards_;
   // Guards the transaction and allocation maps (taken after a shard mutex,
   // never before one). The tx maps are lazily-published caches, so they are
@@ -428,12 +427,14 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   mutable std::mutex aux_mutex_;
   mutable std::map<SeqNum, uint64_t> seq_to_tx_;
   mutable std::map<uint64_t, std::vector<SeqNum>> tx_to_seqs_;
-  mutable std::vector<std::unique_ptr<TxBuffer>> tx_buffers_;
+  // Registration takes the registry's own lock; aux_mutex_ is taken first
+  // when both are held.
+  mutable ThreadRegistry<TxBuffer> tx_buffers_;
   std::map<PmOffset, AllocationRecord> allocations_;
   std::atomic<SeqNum> next_seq_{1};
   std::atomic<uint64_t> entry_count_{0};
   // Currently retained versions across all entries (mirrored to the
-  // `checkpoint.versions.retained` gauge).
+  // `checkpoint.versions.retained` gauge by PublishRetainedVersions).
   std::atomic<uint64_t> retained_versions_{0};
   // Shard arena chunk bytes (every shard arena is bound to this counter)
   // and index bytes (AddIndexBytes), for the capacity gauges.

@@ -258,9 +258,7 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
     std::lock_guard<std::mutex> aux(aux_mutex_);
     // Staged pairs from the pre-restore history must not leak into the
     // restored maps.
-    for (const auto& buffer : tx_buffers_) {
-      buffer->pairs.clear();
-    }
+    tx_buffers_.ForEach([](TxBuffer& buffer) { buffer.pairs.clear(); });
     allocations_ = std::move(allocations);
     seq_to_tx_ = std::move(seq_to_tx);
     tx_to_seqs_ = std::move(tx_to_seqs);

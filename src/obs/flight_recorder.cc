@@ -1,40 +1,9 @@
 #include "obs/flight_recorder.h"
 
-#include <algorithm>
-
 #include "common/clock.h"
 
 namespace arthas {
 namespace obs {
-
-namespace {
-
-// Sequential per-thread ids shared by every recorder instance so a thread
-// keeps one identity across the global recorder and test-local ones (and
-// across the span tracer, which uses its own counter — both are 1-based
-// small integers chosen for stable, readable artifacts).
-uint16_t ThisThreadId() {
-  static std::atomic<uint16_t> next{1};
-  thread_local uint16_t id = next.fetch_add(1);
-  return id;
-}
-
-uint64_t NextRecorderId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1);
-}
-
-// One-entry thread-local cache: the common case is every Record() call
-// hitting the same (global) recorder, so the slow registry path runs once
-// per thread per recorder. Recorder ids are never reused, so a stale cache
-// entry for a destroyed test recorder can never match a live one.
-struct TlsRingCache {
-  uint64_t recorder_id = 0;
-  void* ring = nullptr;
-};
-thread_local TlsRingCache tls_ring_cache;
-
-}  // namespace
 
 const char* FrTypeName(FrType type) {
   switch (type) {
@@ -86,21 +55,7 @@ const char* FrReasonName(FrReason reason) {
   return "unknown";
 }
 
-namespace {
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-}  // namespace
-
-FlightRecorder::FlightRecorder(size_t ring_capacity)
-    : capacity_(RoundUpPow2(std::max<size_t>(ring_capacity, 2))),
-      recorder_id_(NextRecorderId()) {}
-
-FlightRecorder::~FlightRecorder() = default;
+FlightRecorder::FlightRecorder(size_t ring_capacity) : rings_(ring_capacity) {}
 
 FlightRecorder& FlightRecorder::Global() {
   // Leaked: post-crash forensics must outlive every device and even main()
@@ -109,83 +64,20 @@ FlightRecorder& FlightRecorder::Global() {
   return *recorder;
 }
 
-FlightRecorder::Ring* FlightRecorder::LocalRing() {
-  if (tls_ring_cache.recorder_id == recorder_id_) {
-    return static_cast<Ring*>(tls_ring_cache.ring);
-  }
-  // First event from this thread for this recorder: register a ring. Rings
-  // are owned by the recorder and outlive their thread, so a snapshot after
-  // a worker joins still sees its events.
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  rings_.push_back(std::make_unique<Ring>(capacity_, ThisThreadId()));
-  Ring* ring = rings_.back().get();
-  tls_ring_cache = TlsRingCache{recorder_id_, ring};
-  return ring;
-}
-
 void FlightRecorder::Record(FrType type, uint32_t device_id, uint64_t addr,
                             uint64_t size, uint64_t arg, FrReason reason) {
   if (!enabled()) {
     return;
   }
-  Ring* ring = LocalRing();
-  // The only cross-thread traffic on the hot path: one relaxed fetch_add
-  // establishing the total order. No CAS loop, no lock.
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  FlightRecord& r = ring->records[head & (capacity_ - 1)];
-  r.seq = seq;
-  r.ts_ns = NowNanos();
-  r.addr = addr;
-  r.size = size;
-  r.arg = arg;
-  r.device_id = device_id;
-  r.tid = ring->tid;
-  r.type = type;
-  r.reason = reason;
-  ring->head.store(head + 1, std::memory_order_release);
-}
-
-std::vector<FlightRecord> FlightRecorder::Snapshot() const {
-  std::vector<FlightRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (const auto& ring : rings_) {
-      const uint64_t head = ring->head.load(std::memory_order_acquire);
-      const uint64_t n = std::min<uint64_t>(head, capacity_);
-      out.reserve(out.size() + n);
-      // Oldest retained record first: wraparound overwrote anything before
-      // head - capacity.
-      for (uint64_t i = head - n; i < head; i++) {
-        out.push_back(ring->records[i & (capacity_ - 1)]);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FlightRecord& a, const FlightRecord& b) {
-              return a.seq < b.seq;
-            });
-  return out;
-}
-
-uint64_t FlightRecorder::dropped() const {
-  uint64_t dropped = 0;
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& ring : rings_) {
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    if (head > capacity_) {
-      dropped += head - capacity_;
-    }
-  }
-  return dropped;
-}
-
-void FlightRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& ring : rings_) {
-    ring->head.store(0, std::memory_order_relaxed);
-  }
-  next_seq_.store(1, std::memory_order_relaxed);
+  rings_.Append([&](FlightRecord& r) {
+    r.ts_ns = NowNanos();
+    r.addr = addr;
+    r.size = size;
+    r.arg = arg;
+    r.device_id = device_id;
+    r.type = type;
+    r.reason = reason;
+  });
 }
 
 }  // namespace obs

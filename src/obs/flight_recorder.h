@@ -10,9 +10,10 @@
 //
 // Design constraints, in order:
 //   * the write path is lock-free and CAS-free: each thread owns a private
-//     fixed-size ring (single-writer, wraparound overwrite of the oldest
-//     records), and the only shared operation is one relaxed fetch_add on
-//     the global sequence counter that totally orders events across rings,
+//     fixed-size ring (common/thread_registry.h ThreadRing: single-writer,
+//     wraparound overwrite of the oldest records), and the only shared
+//     operation is one relaxed fetch_add on the global sequence counter
+//     that totally orders events across rings,
 //   * memory is bounded: kRingCapacity records per thread, fixed-size POD
 //     records (48 bytes), nothing allocated on the record path after the
 //     first event of a thread,
@@ -32,9 +33,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
+
+#include "common/thread_registry.h"
 
 namespace arthas {
 namespace obs {
@@ -111,7 +112,7 @@ struct FlightRecord {
   uint64_t size = 0;
   uint64_t arg = 0;
   uint32_t device_id = 0;  // PmemDevice::device_id(); 0 = not device-bound
-  uint16_t tid = 0;        // sequential thread number, 1-based
+  uint16_t tid = 0;        // ThreadOrdinal() of the recording thread
   FrType type = FrType::kNone;
   FrReason reason = FrReason::kNone;
 };
@@ -125,7 +126,6 @@ class FlightRecorder {
   static constexpr size_t kDefaultRingCapacity = 8192;
 
   explicit FlightRecorder(size_t ring_capacity = kDefaultRingCapacity);
-  ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -147,40 +147,22 @@ class FlightRecorder {
 
   // Merged view of every thread ring, sorted by global seq (total order).
   // Quiesce-time: concurrent writers may or may not land in the snapshot.
-  std::vector<FlightRecord> Snapshot() const;
+  std::vector<FlightRecord> Snapshot() const { return rings_.Snapshot(); }
 
   // Events recorded since construction/Clear, including ones the rings
   // have since overwritten.
-  uint64_t total_recorded() const {
-    return next_seq_.load(std::memory_order_relaxed) - 1;
-  }
+  uint64_t total_recorded() const { return rings_.total(); }
   // Records lost to ring wraparound (total_recorded - records retained).
-  uint64_t dropped() const;
+  uint64_t dropped() const { return rings_.dropped(); }
 
   // Resets every ring (threads keep their rings; quiesce-time only).
-  void Clear();
+  void Clear() { rings_.Clear(); }
 
-  size_t ring_capacity() const { return capacity_; }
+  size_t ring_capacity() const { return rings_.capacity(); }
 
  private:
-  struct Ring {
-    explicit Ring(size_t capacity, uint16_t tid)
-        : records(capacity), tid(tid) {}
-    std::vector<FlightRecord> records;
-    // Total records ever written to this ring; slot = head % capacity.
-    // Release store after the record write pairs with Snapshot's acquire.
-    std::atomic<uint64_t> head{0};
-    uint16_t tid;
-  };
-
-  Ring* LocalRing();
-
-  const size_t capacity_;
-  const uint64_t recorder_id_;  // process-unique, never reused
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> next_seq_{1};
-  mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  ThreadRing<FlightRecord> rings_;
 };
 
 }  // namespace obs

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
 
 namespace arthas {
 namespace obs {
 
 namespace {
-
-std::atomic<uint64_t> next_profiler_id{1};
 
 // Mixes a packed path into a table index (same golden-ratio mix as the
 // checkpoint index; the path's low byte is the leaf phase, so mixing
@@ -168,11 +165,6 @@ void PhaseProfiler::ThreadState::AddPath(uint64_t path, uint64_t cycles) {
                 std::memory_order_relaxed);
 }
 
-PhaseProfiler::PhaseProfiler()
-    : profiler_id_(next_profiler_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-PhaseProfiler::~PhaseProfiler() = default;
-
 PhaseProfiler& PhaseProfiler::Global() {
   // Leaked intentionally: instrumented scopes may run during static
   // destruction of other objects.
@@ -181,66 +173,44 @@ PhaseProfiler& PhaseProfiler::Global() {
 }
 
 PhaseProfiler::ThreadState* PhaseProfiler::LocalState() {
-  // One-entry cache covers the overwhelmingly common case (every macro
-  // reports into Global()); the map handles test-local profiler instances.
-  thread_local uint64_t cached_id = 0;
-  thread_local ThreadState* cached_state = nullptr;
-  if (cached_id == profiler_id_) {
-    return cached_state;
-  }
-  thread_local std::unordered_map<uint64_t, ThreadState*> all;
-  auto it = all.find(profiler_id_);
-  if (it == all.end()) {
-    auto owned = std::make_unique<ThreadState>();
-    ThreadState* raw = owned.get();
-    {
-      std::lock_guard<std::mutex> lock(registry_mutex_);
-      states_.push_back(std::move(owned));
-    }
-    it = all.emplace(profiler_id_, raw).first;
-  }
-  cached_id = profiler_id_;
-  cached_state = it->second;
-  return cached_state;
+  return states_.Local();
 }
 
 ProfileSnapshot PhaseProfiler::Snapshot() const {
   ProfileSnapshot merged;
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& state : states_) {
+  states_.ForEach([&merged](const ThreadState& state) {
     for (size_t i = 0; i < kNumProfPhases; i++) {
       merged.phases[i].exclusive_cycles +=
-          state->exclusive[i].load(std::memory_order_relaxed);
+          state.exclusive[i].load(std::memory_order_relaxed);
       merged.phases[i].inclusive_cycles +=
-          state->inclusive[i].load(std::memory_order_relaxed);
-      merged.phases[i].calls += state->calls[i].load(std::memory_order_relaxed);
+          state.inclusive[i].load(std::memory_order_relaxed);
+      merged.phases[i].calls += state.calls[i].load(std::memory_order_relaxed);
     }
-    merged.skipped_frames += state->skipped.load(std::memory_order_relaxed);
-    for (const ThreadState::PathSlot& slot : state->paths) {
+    merged.skipped_frames += state.skipped.load(std::memory_order_relaxed);
+    for (const ThreadState::PathSlot& slot : state.paths) {
       const uint64_t path = slot.path.load(std::memory_order_relaxed);
       if (path != 0) {
         merged.folded[DecodePath(path)] +=
             slot.cycles.load(std::memory_order_relaxed);
       }
     }
-  }
+  });
   return merged;
 }
 
 void PhaseProfiler::Reset() {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& state : states_) {
+  states_.ForEach([](ThreadState& state) {
     for (size_t i = 0; i < kNumProfPhases; i++) {
-      state->exclusive[i].store(0, std::memory_order_relaxed);
-      state->inclusive[i].store(0, std::memory_order_relaxed);
-      state->calls[i].store(0, std::memory_order_relaxed);
+      state.exclusive[i].store(0, std::memory_order_relaxed);
+      state.inclusive[i].store(0, std::memory_order_relaxed);
+      state.calls[i].store(0, std::memory_order_relaxed);
     }
-    state->skipped.store(0, std::memory_order_relaxed);
-    for (ThreadState::PathSlot& slot : state->paths) {
+    state.skipped.store(0, std::memory_order_relaxed);
+    for (ThreadState::PathSlot& slot : state.paths) {
       slot.path.store(0, std::memory_order_relaxed);
       slot.cycles.store(0, std::memory_order_relaxed);
     }
-  }
+  });
 }
 
 JsonValue ProfileVariantJson(const std::string& name,

@@ -44,12 +44,11 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/thread_registry.h"
 #include "obs/json.h"
 
 namespace arthas {
@@ -111,8 +110,7 @@ class PhaseProfiler {
   // path count is bounded by the instrumentation sites, far below this.
   static constexpr size_t kPathSlots = 256;
 
-  PhaseProfiler();
-  ~PhaseProfiler();
+  PhaseProfiler() = default;
 
   PhaseProfiler(const PhaseProfiler&) = delete;
   PhaseProfiler& operator=(const PhaseProfiler&) = delete;
@@ -139,10 +137,6 @@ class PhaseProfiler {
   void Reset();
 
   // --- Scope mechanics (called by ScopedPhase) -----------------------------
-
-  struct ThreadState;
-  // This thread's accumulator block, registered on first use.
-  ThreadState* LocalState();
 
   struct ThreadState {
     struct Frame {
@@ -176,13 +170,12 @@ class PhaseProfiler {
     void AddPath(uint64_t path, uint64_t cycles);
   };
 
+  // This thread's accumulator block, registered on first use.
+  ThreadState* LocalState();
+
  private:
-  // Process-unique id keying the thread-local registry (never reused, so a
-  // stale TLS entry from a destroyed test profiler can't alias a new one).
-  const uint64_t profiler_id_;
   std::atomic<bool> enabled_{false};
-  mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<ThreadState>> states_;
+  ThreadRegistry<ThreadState> states_;
 };
 
 // RAII instrumented region. Captures the profiler's enabled state at entry;

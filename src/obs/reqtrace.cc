@@ -5,42 +5,13 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 
 namespace arthas {
 namespace obs {
 
 namespace {
-
-// Sequential per-thread ids, same numbering scheme as the flight recorder
-// (1-based small integers for readable artifacts).
-uint16_t ThisThreadId() {
-  static std::atomic<uint16_t> next{1};
-  thread_local uint16_t id = next.fetch_add(1);
-  return id;
-}
-
-uint64_t NextPlaneId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1);
-}
-
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
-// One-entry thread-local ring cache (flight-recorder idiom): the common
-// case is every commit landing in the global plane, so the locked registry
-// path runs once per thread per plane. Plane ids are never reused.
-struct TlsRingCache {
-  uint64_t plane_id = 0;
-  void* ring = nullptr;
-};
-thread_local TlsRingCache tls_ring_cache;
 
 // A command being executed right now on this thread (stage accumulation
 // happens here, lock-free, before the trace is ever shared).
@@ -121,12 +92,9 @@ void RequestTracePlane::InstallOpNamer(const char* (*namer)(uint8_t)) {
 }
 
 RequestTracePlane::RequestTracePlane(size_t ring_capacity)
-    : capacity_(RoundUpPow2(std::max<size_t>(ring_capacity, 2))),
-      plane_id_(NextPlaneId()) {
+    : rings_(ring_capacity) {
   reservoir_.reserve(kReservoirCapacity);
 }
-
-RequestTracePlane::~RequestTracePlane() = default;
 
 RequestTracePlane& RequestTracePlane::Global() {
   // Leaked: TRACE autopsies and artifact writers must survive any teardown
@@ -135,30 +103,19 @@ RequestTracePlane& RequestTracePlane::Global() {
   return *plane;
 }
 
-RequestTracePlane::Ring* RequestTracePlane::LocalRing() {
-  if (tls_ring_cache.plane_id == plane_id_) {
-    return static_cast<Ring*>(tls_ring_cache.ring);
-  }
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  rings_.push_back(std::make_unique<Ring>(capacity_, ThisThreadId()));
-  Ring* ring = rings_.back().get();
-  tls_ring_cache = TlsRingCache{plane_id_, ring};
-  return ring;
-}
-
 void RequestTracePlane::BeginBatch(int64_t received_ns) {
   ThreadState& st = tls_state;
   if (!enabled()) {
     st.batch_active = false;
     return;
   }
-  if (st.plane_id != plane_id_) {
+  if (st.plane_id != rings_.id()) {
     // First batch on this thread for this plane (or a test rebound the
     // thread to a fresh local plane): drop state owed to the old one.
     st.batch.clear();
     st.awaiting.clear();
     st.active = -1;
-    st.plane_id = plane_id_;
+    st.plane_id = rings_.id();
   }
   st.batch_active = true;
   st.batch_received_ns = received_ns;
@@ -242,7 +199,7 @@ void RequestTracePlane::EndBatch(int64_t lock_start_ns, int64_t lock_end_ns,
 
 void RequestTracePlane::FlushReplies(int64_t now_ns) {
   ThreadState& st = tls_state;
-  if (st.plane_id != plane_id_ || st.awaiting.empty()) {
+  if (st.plane_id != rings_.id() || st.awaiting.empty()) {
     return;
   }
   for (AwaitingTrace& a : st.awaiting) {
@@ -368,15 +325,10 @@ void RequestTracePlane::ApplyMitigationSpans(RequestTrace& t) const {
   t.stage_ns[static_cast<size_t>(ReqStage::kReactor)] += take_rea;
 }
 
-void RequestTracePlane::Commit(RequestTrace& t) {
-  Ring* ring = LocalRing();
-  // The only cross-thread traffic on the commit path: one relaxed
-  // fetch_add establishing the total order across rings.
-  t.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  t.tid = ring->tid;
-  const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  ring->records[head & (capacity_ - 1)] = t;
-  ring->head.store(head + 1, std::memory_order_release);
+void RequestTracePlane::Commit(const RequestTrace& trace) {
+  // Append stamps seq and tid on the stored copy.
+  const RequestTrace& t =
+      rings_.Append([&trace](RequestTrace& slot) { slot = trace; });
   OfferReservoir(t);
 #ifndef ARTHAS_OBS_DISABLED
   static Histogram& server_hist =
@@ -423,26 +375,6 @@ void RequestTracePlane::OfferReservoir(const RequestTrace& t) {
                                 std::memory_order_relaxed);
 }
 
-std::vector<RequestTrace> RequestTracePlane::SnapshotRings() const {
-  std::vector<RequestTrace> out;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (const auto& ring : rings_) {
-      const uint64_t head = ring->head.load(std::memory_order_acquire);
-      const uint64_t n = std::min<uint64_t>(head, capacity_);
-      out.reserve(out.size() + n);
-      for (uint64_t i = head - n; i < head; i++) {
-        out.push_back(ring->records[i & (capacity_ - 1)]);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const RequestTrace& a, const RequestTrace& b) {
-              return a.seq < b.seq;
-            });
-  return out;
-}
-
 std::vector<RequestTrace> RequestTracePlane::SlowestRequests(
     size_t limit) const {
   std::vector<RequestTrace> out;
@@ -470,42 +402,14 @@ bool RequestTracePlane::FindTrace(uint64_t trace_id, RequestTrace* out) const {
       }
     }
   }
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& ring : rings_) {
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    const uint64_t n = std::min<uint64_t>(head, capacity_);
-    // Newest first: a reused client id should answer with its latest trip.
-    for (uint64_t i = head; i > head - n; i--) {
-      const RequestTrace& t = ring->records[(i - 1) & (capacity_ - 1)];
-      if (t.trace_id == trace_id) {
-        *out = t;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-uint64_t RequestTracePlane::dropped() const {
-  uint64_t dropped = 0;
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& ring : rings_) {
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    if (head > capacity_) {
-      dropped += head - capacity_;
-    }
-  }
-  return dropped;
+  // Newest first: a reused client id should answer with its latest trip.
+  return rings_.FindNewest(
+      [trace_id](const RequestTrace& t) { return t.trace_id == trace_id; },
+      out);
 }
 
 void RequestTracePlane::Clear() {
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (const auto& ring : rings_) {
-      ring->head.store(0, std::memory_order_relaxed);
-    }
-    next_seq_.store(1, std::memory_order_relaxed);
-  }
+  rings_.Clear();
   {
     std::lock_guard<std::mutex> lock(reservoir_mutex_);
     reservoir_.clear();
@@ -553,22 +457,14 @@ JsonValue RequestTracePlane::TraceJson(const RequestTrace& t) {
 
 JsonValue RequestTracePlane::ChromeTraceJson(
     const std::vector<RequestTrace>& traces) {
-  JsonValue events = JsonValue::Array();
+  ChromeTraceWriter writer;
   for (size_t row = 0; row < traces.size(); row++) {
     const RequestTrace& t = traces[row];
-    JsonValue meta = JsonValue::Object();
-    meta.Set("ph", JsonValue("M"));
-    meta.Set("name", JsonValue("thread_name"));
-    meta.Set("pid", JsonValue(static_cast<int64_t>(1)));
-    meta.Set("tid", JsonValue(static_cast<int64_t>(row)));
-    JsonValue margs = JsonValue::Object();
+    const int64_t tid = static_cast<int64_t>(row);
     char label[64];
     std::snprintf(label, sizeof(label), "trace %" PRIu64 " (%s)", t.trace_id,
                   OpName(t.op));
-    margs.Set("name", JsonValue(label));
-    meta.Set("args", std::move(margs));
-    events.Append(std::move(meta));
-
+    writer.ThreadName(tid, label);
     // Stages rendered back to back from the request's first instant; the
     // enum order matches their real sequence closely enough to read.
     double cursor_us =
@@ -578,25 +474,15 @@ JsonValue RequestTracePlane::ChromeTraceJson(
       if (t.stage_ns[i] <= 0) {
         continue;
       }
-      JsonValue e = JsonValue::Object();
-      e.Set("ph", JsonValue("X"));
-      e.Set("cat", JsonValue("reqtrace"));
-      e.Set("name", JsonValue(ReqStageName(static_cast<ReqStage>(i))));
-      e.Set("pid", JsonValue(static_cast<int64_t>(1)));
-      e.Set("tid", JsonValue(static_cast<int64_t>(row)));
-      e.Set("ts", JsonValue(cursor_us));
-      e.Set("dur", JsonValue(static_cast<double>(t.stage_ns[i]) / 1000.0));
+      const double dur_us = static_cast<double>(t.stage_ns[i]) / 1000.0;
       JsonValue args = JsonValue::Object();
       args.Set("trace_id", JsonValue(t.trace_id));
-      e.Set("args", std::move(args));
-      events.Append(std::move(e));
-      cursor_us += static_cast<double>(t.stage_ns[i]) / 1000.0;
+      writer.Complete(ReqStageName(static_cast<ReqStage>(i)), "reqtrace", tid,
+                      cursor_us, dur_us, std::move(args));
+      cursor_us += dur_us;
     }
   }
-  JsonValue doc = JsonValue::Object();
-  doc.Set("traceEvents", std::move(events));
-  doc.Set("displayTimeUnit", JsonValue("ms"));
-  return doc;
+  return writer.Finish();
 }
 
 }  // namespace obs

@@ -11,8 +11,8 @@
 // generator, which shares the server's monotonic clock in-process, so
 // client scheduled-arrival wait joins server-side time), threads it
 // server -> dispatcher -> SectionScope -> persist/flush/drain, and records a
-// fixed-POD stage breakdown into per-thread rings in the flight-recorder
-// idiom.
+// fixed-POD stage breakdown into per-thread rings (ThreadRing, shared with
+// the flight recorder).
 //
 // Design constraints, in order:
 //   * always-on: the record path is lock-free and CAS-free (thread-local
@@ -49,12 +49,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/thread_registry.h"
 #include "obs/json.h"
 
 namespace arthas {
@@ -86,7 +86,7 @@ struct RequestTrace {
   int64_t start_ns = 0;  // server receipt (read() return)
   int64_t end_ns = 0;    // replies handed to the socket
   int64_t stage_ns[kReqStageCount] = {};
-  uint16_t tid = 0;      // loop thread (flight-recorder thread ids)
+  uint16_t tid = 0;      // loop thread's ThreadOrdinal(), as FlightRecord::tid
   uint8_t op = 0;        // net::NetOp of the command
   bool faulted = false;
 
@@ -113,7 +113,6 @@ class RequestTracePlane {
   static constexpr uint64_t kServerIdBase = 1ULL << 40;
 
   explicit RequestTracePlane(size_t ring_capacity = kDefaultRingCapacity);
-  ~RequestTracePlane();
 
   RequestTracePlane(const RequestTracePlane&) = delete;
   RequestTracePlane& operator=(const RequestTracePlane&) = delete;
@@ -166,21 +165,19 @@ class RequestTracePlane {
   // --- queries / export (quiesce-time) -----------------------------------
 
   // Every retained trace, merged across rings, commit order.
-  std::vector<RequestTrace> SnapshotRings() const;
+  std::vector<RequestTrace> SnapshotRings() const { return rings_.Snapshot(); }
   // Reservoir of the slowest requests by end-to-end time, slowest first
   // (limit = 0 means all retained).
   std::vector<RequestTrace> SlowestRequests(size_t limit = 0) const;
   bool FindTrace(uint64_t trace_id, RequestTrace* out) const;
 
-  uint64_t total_traced() const {
-    return next_seq_.load(std::memory_order_relaxed) - 1;
-  }
-  uint64_t dropped() const;
+  uint64_t total_traced() const { return rings_.total(); }
+  uint64_t dropped() const { return rings_.dropped(); }
   // Rings, reservoir, counters, and the mitigation window (keeps rings
   // registered; quiesce-time only).
   void Clear();
 
-  size_t ring_capacity() const { return capacity_; }
+  size_t ring_capacity() const { return rings_.capacity(); }
 
   // Installs the op-byte -> name renderer (the net layer registers
   // NetOpName; obs stays independent of the wire protocol). nullptr
@@ -192,27 +189,16 @@ class RequestTracePlane {
   // {"trace_id", "origin_ns", "start_ns", "end_ns", "total_ns", "e2e_ns",
   //  "op", "faulted", "stages": {stage: ns}}
   static JsonValue TraceJson(const RequestTrace& trace);
-  // Chrome trace-event document: one row (tid) per trace, stages laid out
-  // as "X" duration events. Load in chrome://tracing or Perfetto.
+  // Chrome trace-event document (obs/chrome_trace.h): one row (tid) per
+  // trace, stages laid out as "X" duration events.
   static JsonValue ChromeTraceJson(const std::vector<RequestTrace>& traces);
 
  private:
-  struct Ring {
-    Ring(size_t capacity, uint16_t tid) : records(capacity), tid(tid) {}
-    std::vector<RequestTrace> records;
-    std::atomic<uint64_t> head{0};  // release store pairs with Snapshot
-    uint16_t tid;
-  };
-
-  Ring* LocalRing();
-  void Commit(RequestTrace& trace);
+  void Commit(const RequestTrace& trace);
   void OfferReservoir(const RequestTrace& trace);
   void ApplyMitigationSpans(RequestTrace& trace) const;
 
-  const size_t capacity_;
-  const uint64_t plane_id_;  // process-unique, never reused
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> next_seq_{1};
   std::atomic<uint64_t> next_server_id_{1};
 
   // Mitigation window on the monotonic clock (0 = unset).
@@ -220,8 +206,7 @@ class RequestTracePlane {
   std::atomic<int64_t> detector_fired_ns_{0};
   std::atomic<int64_t> mitigation_end_ns_{0};
 
-  mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  ThreadRing<RequestTrace> rings_;
 
   // Min-heap on EndToEndNs in reservoir_[0]; threshold_ns_ caches the heap
   // root so the common case (not a top-K candidate) never locks.

@@ -7,7 +7,7 @@
 #include <set>
 #include <sstream>
 
-#include "obs/json.h"
+#include "obs/chrome_trace.h"
 
 namespace arthas {
 namespace obs {
@@ -16,36 +16,14 @@ namespace {
 
 std::atomic<bool> g_enabled{true};
 
-// Sequential per-thread ids keep the Chrome trace stable across runs
-// (std::thread::id values are neither small nor deterministic).
-uint32_t ThisThreadId() {
-  static std::atomic<uint32_t> next{1};
-  thread_local uint32_t id = next.fetch_add(1);
-  return id;
-}
-
 int& ThisThreadDepth() {
   thread_local int depth = 0;
   return depth;
 }
 
-uint64_t NextTracerId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-// One-entry thread-local cache mapping "the tracer this thread last
-// recorded into" to its buffer. Tracer ids are never reused, so a stale
-// entry for a destroyed test tracer can never alias a live one.
-struct TlsBufferCache {
-  uint64_t tracer_id = 0;
-  void* buffer = nullptr;
-};
-thread_local TlsBufferCache tls_buffer_cache;
-
 }  // namespace
 
-SpanTracer::SpanTracer() : tracer_id_(NextTracerId()), epoch_ns_(NowNanos()) {}
+SpanTracer::SpanTracer() : epoch_ns_(NowNanos()) {}
 
 SpanTracer& SpanTracer::Global() {
   static SpanTracer* tracer = new SpanTracer();
@@ -60,41 +38,18 @@ bool SpanTracer::enabled() const {
   return g_enabled.load(std::memory_order_relaxed);
 }
 
-SpanTracer::ThreadBuffer* SpanTracer::LocalBuffer() {
-  if (tls_buffer_cache.tracer_id == tracer_id_) {
-    return static_cast<ThreadBuffer*>(tls_buffer_cache.buffer);
-  }
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  const uint32_t tid = ThisThreadId();
-  ThreadBuffer* buffer = nullptr;
-  for (const auto& b : buffers_) {
-    if (b->tid == tid) {
-      buffer = b.get();
-      break;
-    }
-  }
-  if (buffer == nullptr) {
-    buffers_.push_back(std::make_unique<ThreadBuffer>(tid));
-    buffer = buffers_.back().get();
-  }
-  tls_buffer_cache = {tracer_id_, buffer};
-  return buffer;
-}
-
 void SpanTracer::Record(SpanEvent event) {
-  ThreadBuffer* buffer = LocalBuffer();
+  ThreadBuffer* buffer = buffers_.Local();
   std::lock_guard<std::mutex> lock(buffer->mutex);
   buffer->events.push_back(std::move(event));
 }
 
 std::vector<SpanEvent> SpanTracer::Snapshot() const {
-  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
   std::vector<SpanEvent> merged;
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    merged.insert(merged.end(), buffer->events.begin(),
-                  buffer->events.end());
-  }
+  buffers_.ForEach([&merged](ThreadBuffer& buffer) {
+    std::lock_guard<std::mutex> lock(buffer.mutex);
+    merged.insert(merged.end(), buffer.events.begin(), buffer.events.end());
+  });
   // Completion order, as the old single-buffer tracer produced: a span
   // lands when it closes, so nested spans precede their parents.
   std::stable_sort(merged.begin(), merged.end(),
@@ -105,83 +60,49 @@ std::vector<SpanEvent> SpanTracer::Snapshot() const {
 }
 
 size_t SpanTracer::size() const {
-  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
   size_t total = 0;
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    total += buffer->events.size();
-  }
+  buffers_.ForEach([&total](ThreadBuffer& buffer) {
+    std::lock_guard<std::mutex> lock(buffer.mutex);
+    total += buffer.events.size();
+  });
   return total;
 }
 
 void SpanTracer::Clear() {
-  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    buffer->events.clear();
-  }
+  buffers_.ForEach([](ThreadBuffer& buffer) {
+    std::lock_guard<std::mutex> lock(buffer.mutex);
+    buffer.events.clear();
+  });
   epoch_ns_ = NowNanos();
 }
 
 std::string SpanTracer::ExportChromeJson() const {
   const std::vector<SpanEvent> events = Snapshot();
-  JsonValue trace_events = JsonValue::Array();
-  // Exactly one process_name metadata row, whatever the thread count — a
-  // duplicate would make the viewer render duplicate process groups.
-  {
-    JsonValue meta = JsonValue::Object();
-    meta.Set("name", JsonValue("process_name"));
-    meta.Set("ph", JsonValue("M"));
-    meta.Set("pid", JsonValue(int64_t{1}));
-    meta.Set("tid", JsonValue(int64_t{0}));
-    JsonValue args = JsonValue::Object();
-    args.Set("name", JsonValue("arthas"));
-    meta.Set("args", std::move(args));
-    trace_events.Append(std::move(meta));
-  }
-  // One thread_name metadata row per thread that actually recorded an
-  // event (tids are collected from the events themselves, so idle
-  // registered buffers never produce an unlabeled empty track).
+  ChromeTraceWriter writer;
+  // One thread_name row per thread that actually recorded an event (tids
+  // are collected from the events themselves, so idle registered buffers
+  // never produce an unlabeled empty track).
   std::set<uint32_t> tids;
   for (const SpanEvent& e : events) {
     tids.insert(e.tid);
   }
   for (const uint32_t tid : tids) {
-    JsonValue meta = JsonValue::Object();
-    meta.Set("name", JsonValue("thread_name"));
-    meta.Set("ph", JsonValue("M"));
-    meta.Set("pid", JsonValue(int64_t{1}));
-    meta.Set("tid", JsonValue(static_cast<int64_t>(tid)));
-    JsonValue args = JsonValue::Object();
-    args.Set("name", JsonValue("arthas-thread-" + std::to_string(tid)));
-    meta.Set("args", std::move(args));
-    trace_events.Append(std::move(meta));
+    writer.ThreadName(tid, "arthas-thread-" + std::to_string(tid));
   }
   for (const SpanEvent& e : events) {
-    JsonValue ev = JsonValue::Object();
-    ev.Set("name", JsonValue(e.name));
-    ev.Set("cat", JsonValue("arthas"));
-    ev.Set("ph", JsonValue("X"));
-    // Chrome trace timestamps are microseconds; keep sub-us precision as a
-    // fractional part.
-    ev.Set("ts", JsonValue(static_cast<double>(e.start_ns) / 1000.0));
-    ev.Set("dur",
-           JsonValue(static_cast<double>(e.end_ns - e.start_ns) / 1000.0));
-    ev.Set("pid", JsonValue(int64_t{1}));
-    ev.Set("tid", JsonValue(static_cast<int64_t>(e.tid)));
+    JsonValue args;
     if (!e.attrs.empty()) {
-      JsonValue args = JsonValue::Object();
+      args = JsonValue::Object();
       for (const auto& [key, value] : e.attrs) {
         args.Set(key, JsonValue(value));
       }
-      ev.Set("args", std::move(args));
     }
-    trace_events.Append(std::move(ev));
+    writer.Complete(e.name, "arthas", e.tid,
+                    static_cast<double>(e.start_ns) / 1000.0,
+                    static_cast<double>(e.end_ns - e.start_ns) / 1000.0,
+                    std::move(args));
   }
-  JsonValue out = JsonValue::Object();
-  out.Set("traceEvents", std::move(trace_events));
-  out.Set("displayTimeUnit", JsonValue("ns"));
-  return out.Dump();
+  return writer.Finish().Dump();
 }
 
 std::string SpanTracer::ExportTextSummary() const {
@@ -218,7 +139,7 @@ ScopedSpan::ScopedSpan(std::string name) {
   }
   start_abs_ns_ = NowNanos();
   event_.name = std::move(name);
-  event_.tid = ThisThreadId();
+  event_.tid = ThreadOrdinal();
   event_.depth = ThisThreadDepth()++;
   event_.start_ns = start_abs_ns_ - tracer.epoch_ns();
 }

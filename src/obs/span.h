@@ -6,9 +6,10 @@
 // common/clock.h). Spans nest per thread: a ScopedSpan opened while another
 // is open on the same thread becomes its child, tracked with a thread-local
 // depth counter. Finished spans are appended to the calling thread's own
-// buffer (per-buffer mutex, uncontended in steady state — only Snapshot
-// ever takes it from another thread), so concurrent workers never
-// serialize on one tracer-wide lock. Span *end* is off the hot path by
+// buffer (a common/thread_registry.h ThreadRegistry entry with a
+// per-buffer mutex, uncontended in steady state — only Snapshot ever takes
+// it from another thread), so concurrent workers never serialize on one
+// tracer-wide lock. Span *end* is off the hot path by
 // construction anyway (spans wrap phases like slicing or a reversion
 // batch, not per-persist work; per-persist costs go to histograms in
 // obs/metrics.h instead). The Chrome export merges the buffers and emits
@@ -22,13 +23,13 @@
 #define ARTHAS_OBS_SPAN_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/thread_registry.h"
 
 namespace arthas {
 namespace obs {
@@ -37,7 +38,7 @@ struct SpanEvent {
   std::string name;
   int64_t start_ns = 0;  // relative to the tracer's epoch
   int64_t end_ns = 0;
-  uint32_t tid = 0;      // sequential thread number, 1-based
+  uint32_t tid = 0;      // ThreadOrdinal() of the recording thread
   int depth = 0;         // nesting depth at open (0 = top level)
   std::vector<std::pair<std::string, std::string>> attrs;
 };
@@ -63,11 +64,10 @@ class SpanTracer {
   // Drops all recorded spans and restarts the epoch.
   void Clear();
 
-  // Chrome trace-event format: {"traceEvents": [{"name": "thread_name",
-  // "ph": "M", ...} per thread, then {"name", "cat", "ph": "X", "ts" (us),
-  // "dur" (us), "pid", "tid", "args"} per span]}. Events come from the
-  // merged per-thread buffers, in start-time order; the tid on each event
-  // is the recording thread's sequential id, matched by its metadata row.
+  // Chrome trace-event document (obs/chrome_trace.h): one thread_name row
+  // per thread that recorded a span, then one "X" event per span in
+  // Snapshot order; each event's tid is the recording thread's
+  // ThreadOrdinal(), matched by its metadata row.
   std::string ExportChromeJson() const;
 
   // Flat per-name summary: count, total, and mean wall time.
@@ -79,17 +79,11 @@ class SpanTracer {
   // One finished-span buffer per recording thread. The buffer's mutex only
   // conflicts when a Snapshot races the owner's append.
   struct ThreadBuffer {
-    explicit ThreadBuffer(uint32_t tid) : tid(tid) {}
     std::mutex mutex;
     std::vector<SpanEvent> events;
-    uint32_t tid;
   };
 
-  ThreadBuffer* LocalBuffer();
-
-  const uint64_t tracer_id_;  // process-unique, for the thread-local cache
-  mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  ThreadRegistry<ThreadBuffer> buffers_;
   int64_t epoch_ns_ = 0;
 };
 

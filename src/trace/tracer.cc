@@ -3,47 +3,18 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 #include "obs/obs.h"
 
 namespace arthas {
 
-namespace {
-std::atomic<uint64_t> g_next_tracer_id{1};
-
-// Per-thread map: tracer id -> that tracer's buffer for this thread. Ids
-// are never reused, so an entry left behind by a destroyed tracer can never
-// be returned for a new one (its value is only dangling storage that is
-// never dereferenced again).
-thread_local std::unordered_map<uint64_t, void*> tls_buffers;
-}  // namespace
-
-Tracer::Tracer(size_t buffer_capacity)
-    : buffer_capacity_(buffer_capacity), id_(g_next_tracer_id.fetch_add(1)) {}
-
-Tracer::~Tracer() = default;
-
-Tracer::ThreadBuffer& Tracer::LocalBuffer() {
-  auto it = tls_buffers.find(id_);
-  if (it == tls_buffers.end()) {
-    auto owned = std::make_unique<ThreadBuffer>();
-    owned->events.reserve(buffer_capacity_);
-    ThreadBuffer* raw = owned.get();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      buffers_.push_back(std::move(owned));
-    }
-    it = tls_buffers.emplace(id_, raw).first;
-  }
-  return *static_cast<ThreadBuffer*>(it->second);
-}
+Tracer::Tracer(size_t buffer_capacity) : buffer_capacity_(buffer_capacity) {}
 
 void Tracer::Record(Guid guid, PmOffset address) {
   if (!enabled_) {
     return;
   }
-  ThreadBuffer& buf = LocalBuffer();
+  ThreadBuffer& buf = *buffers_.Local(buffer_capacity_);
   buf.events.push_back({guid, address, stats_.records.fetch_add(1)});
   if (buf.events.size() >= buffer_capacity_) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -77,9 +48,7 @@ void Tracer::FlushBufferLocked(ThreadBuffer& buf) {
 
 void Tracer::Flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buf : buffers_) {
-    FlushBufferLocked(*buf);
-  }
+  buffers_.ForEach([this](ThreadBuffer& buf) { FlushBufferLocked(buf); });
 }
 
 void Tracer::RebuildIndex() {
@@ -172,9 +141,7 @@ Status Tracer::ParseAppend(const std::string& text) {
 
 void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buf : buffers_) {
-    buf->events.clear();
-  }
+  buffers_.ForEach([](ThreadBuffer& buf) { buf.events.clear(); });
   archive_.clear();
   // Derived state must reset with the archive: the lazy indexes would
   // otherwise keep serving pre-Clear results until the next Record, and the

@@ -9,10 +9,10 @@
 //
 // Concurrency model (see DESIGN.md "Concurrency model"):
 //   * Record() is thread-safe and mostly lock-free: each thread appends to
-//     its own buffer (registered with the tracer on first use) and takes
-//     the archive lock only when its buffer fills. Event indexes come from
-//     one atomic counter, so the archive preserves a total event order even
-//     across threads (buffers are merged by index at flush time).
+//     its own buffer (a common/thread_registry.h ThreadRegistry entry) and
+//     takes the archive lock only when its buffer fills. Event indexes come
+//     from one atomic counter, so the archive preserves a total event order
+//     even across threads (buffers are merged by index at flush time).
 //   * The epoch operations — Flush() of *all* thread buffers, Events(),
 //     the Serialize/query family, Clear(), set_enabled() — are
 //     caller-serialized: run them while no thread is inside Record() (the
@@ -26,12 +26,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_registry.h"
 #include "ir/ir.h"
 #include "pmem/device.h"
 
@@ -55,7 +55,6 @@ class Tracer {
   // to the archive (the paper flushes the in-memory buffer to a file when
   // full).
   explicit Tracer(size_t buffer_capacity = 4096);
-  ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -110,24 +109,20 @@ class Tracer {
   // One thread's pending events. Owned by the tracer (so events survive
   // thread exit until the next flush); written only by its thread.
   struct ThreadBuffer {
+    explicit ThreadBuffer(size_t capacity) { events.reserve(capacity); }
     std::vector<TraceEvent> events;
   };
 
-  // The calling thread's buffer for this tracer, registering it on first
-  // use. The thread-local lookup is keyed by a process-unique tracer id
-  // that is never reused, so entries for dead tracers can never alias a
-  // live one.
-  ThreadBuffer& LocalBuffer();
   // Merges `buf` (sorted by index) into the archive. Requires mutex_.
   void FlushBufferLocked(ThreadBuffer& buf);
   void RebuildIndex();
 
   bool enabled_ = true;
   const size_t buffer_capacity_;
-  const uint64_t id_;  // process-unique, never reused
-  // Guards the archive, the buffer registry, and the lazy indexes.
+  // Guards the archive and the lazy indexes; taken before the registry
+  // lock when both are held.
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  ThreadRegistry<ThreadBuffer> buffers_;
   std::vector<TraceEvent> archive_;  // sorted by event index
   // Lazily rebuilt query indexes over the archive.
   bool index_dirty_ = true;

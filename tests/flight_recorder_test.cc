@@ -43,6 +43,19 @@ TEST(FlightRecorderTest, WraparoundKeepsNewestRecordsInSeqOrder) {
     EXPECT_EQ(snap[i].addr, expected_seq * 64);
     EXPECT_EQ(snap[i].type, FrType::kPersist);
   }
+
+  // A thread alternating between two recorders keeps one ring in each, so
+  // its footprint stays bounded: a switch must not register a fresh ring.
+  FlightRecorder a(4);
+  FlightRecorder b(4);
+  for (uint64_t i = 1; i <= 10; i++) {
+    a.Record(FrType::kPersist, 1, i * 64, 64, i);
+    b.Record(FrType::kPersist, 1, i * 64, 64, i);
+  }
+  for (const FlightRecorder* r : {&a, &b}) {
+    EXPECT_EQ(r->Snapshot().size(), 4u);
+    EXPECT_EQ(r->dropped(), 6u);
+  }
 }
 
 TEST(FlightRecorderTest, RuntimeToggleStopsRecording) {

@@ -1,7 +1,8 @@
 // Request-trace plane invariants: exact stage-sum closure on synthetic
 // timestamps, id assignment, ring wraparound accounting, slowest-request
-// reservoir ordering, mitigation-window reassignment, and a multi-thread
-// commit/snapshot race (the TSan job runs this file).
+// reservoir ordering, mitigation-window reassignment, thread numbering
+// shared with the flight recorder, and a multi-thread commit/snapshot race
+// (the TSan job runs this file).
 
 #include <atomic>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/flight_recorder.h"
 #include "obs/reqtrace.h"
 
 namespace arthas {
@@ -111,6 +113,20 @@ TEST(ReqTraceTest, RingWraparoundCountsDropped) {
   // Only the newest four survive, in commit order.
   EXPECT_EQ(traces.front().trace_id, 3u);
   EXPECT_EQ(traces.back().trace_id, 6u);
+
+  // A thread alternating between two planes keeps one ring in each, so its
+  // footprint stays bounded: a switch must not register a fresh ring.
+  RequestTracePlane a(4);
+  RequestTracePlane b(4);
+  for (uint64_t i = 1; i <= 10; i++) {
+    const int64_t start = 1000 * static_cast<int64_t>(i);
+    CommitTrace(a, i, /*origin=*/0, start, start + 100);
+    CommitTrace(b, i, /*origin=*/0, start, start + 100);
+  }
+  for (const RequestTracePlane* p : {&a, &b}) {
+    EXPECT_EQ(p->SnapshotRings().size(), 4u);
+    EXPECT_EQ(p->dropped(), 6u);
+  }
 }
 
 TEST(ReqTraceTest, ReservoirKeepsSlowestAcrossWraparound) {
@@ -223,6 +239,23 @@ TEST(ReqTraceTest, FourThreadCommitSnapshotRace) {
   for (const RequestTrace& t : traces) {
     EXPECT_EQ(t.StageSumNs(), t.EndToEndNs());
   }
+}
+
+TEST(ReqTraceTest, SharesThreadNumberingWithFlightRecorder) {
+  // RequestTrace::tid and FlightRecord::tid are one numbering, so a trace
+  // joins the flight-recorder events of the thread that served it.
+  FlightRecorder recorder(16);
+  RequestTracePlane plane(16);
+  std::thread([&] {
+    recorder.Record(FrType::kPersist, 1, 0, 64, 0);
+    CommitTrace(plane, 1, /*origin=*/0, 100, 200);
+  }).join();
+  const std::vector<FlightRecord> records = recorder.Snapshot();
+  const std::vector<RequestTrace> traces = plane.SnapshotRings();
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_NE(traces[0].tid, 0u);
+  EXPECT_EQ(traces[0].tid, records[0].tid);
 }
 
 TEST(ReqTraceTest, AutopsyAndJsonExports) {
