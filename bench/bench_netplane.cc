@@ -38,7 +38,7 @@
 // ~1.0 by construction). A fault-under-load cell re-runs the f4 scenario
 // with tracing on, so the tail during mitigation is attributed to the
 // detector and reactor spans rather than generic lock wait. The result is
-// BENCH_tailtrace.json (schema-checked by bench/check_tailtrace_schema.py);
+// BENCH_tailtrace.json (schema-checked by `check_artifacts.py tailtrace`);
 // --tailtrace-chrome <path> additionally exports the slowest requests as a
 // Chrome trace-event file for chrome://tracing.
 //

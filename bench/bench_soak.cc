@@ -20,7 +20,7 @@
 // flat/bounded over the same window, which is the claim that growth
 // lives in the checkpoint plane and not in the serving plane.
 //
-// Sections of BENCH_soak.json (bench/check_soak_schema.py is the gate):
+// Sections of BENCH_soak.json (`bench/check_artifacts.py soak` is the gate):
 //   config              knobs the run used (duration, rate, budgets)
 //   load                open-loop achieved rate + latency quantiles
 //   resources           final accountant snapshot (cells + process)

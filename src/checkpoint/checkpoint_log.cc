@@ -262,7 +262,6 @@ void CheckpointLog::PublishTxBuffersLocked() const {
 }
 
 void CheckpointLog::PublishRetainedVersions() const {
-  ARTHAS_GAUGE_SET("checkpoint.versions.retained", retained_versions_.load());
   ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
                       retained_versions_.load());
 }
@@ -347,9 +346,6 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
   ARTHAS_COUNTER_ADD("checkpoint.record.count", 1);
   ARTHAS_COUNTER_ADD("checkpoint.copy.bytes", 2 * size);
   ARTHAS_GAUGE_SET("checkpoint.entries.count", entry_count_.load());
-  // Capacity-plane name (the STATS `checkpoint.` prefix filter and the
-  // growth analyzer read it).
-  ARTHAS_GAUGE_SET("checkpoint.arena_bytes", arena_bytes_.load());
   PublishRetainedVersions();
 }
 

@@ -414,7 +414,7 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Index-footprint growth (entries never shrink outside destruction):
   // bumps index_bytes_ and the "checkpoint.index.bytes" accountant cell.
   void AddIndexBytes(size_t bytes);
-  // Publishes retained_versions_ to its gauge and capacity cell.
+  // Publishes retained_versions_ to its capacity cell.
   void PublishRetainedVersions() const;
 
   PmemPool* pool_;  // null after Detach()
@@ -434,7 +434,8 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   std::atomic<SeqNum> next_seq_{1};
   std::atomic<uint64_t> entry_count_{0};
   // Currently retained versions across all entries (mirrored to the
-  // `checkpoint.versions.retained` gauge by PublishRetainedVersions).
+  // `checkpoint.retained.versions` capacity cell by
+  // PublishRetainedVersions).
   std::atomic<uint64_t> retained_versions_{0};
   // Shard arena chunk bytes (every shard arena is bound to this counter)
   // and index bytes (AddIndexBytes), for the capacity gauges.

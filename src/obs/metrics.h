@@ -20,7 +20,7 @@
 //     crossed them, linking a histogram tail to the request trace plane.
 //
 // Naming convention: `subsystem.verb.unit`, e.g. `pmem.flush.count`,
-// `checkpoint.serialize.ns`, `pool.used.bytes`.
+// `checkpoint.serialize.ns`, `pool.live.objects`.
 
 #ifndef ARTHAS_OBS_METRICS_H_
 #define ARTHAS_OBS_METRICS_H_

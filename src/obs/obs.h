@@ -7,7 +7,7 @@
 // bookkeeping. Metric handles are cached in function-local statics: after
 // the first call a counter update is one relaxed atomic add.
 //
-// The macros that declare variables (ARTHAS_SCOPED_LATENCY, ARTHAS_SPAN,
+// The macros that declare variables (ARTHAS_SCOPED_LATENCY,
 // ARTHAS_NAMED_SPAN) must be used as statements inside a braced scope.
 
 #ifndef ARTHAS_OBS_OBS_H_
@@ -78,12 +78,8 @@ class ScopedLatency {
                                                  __LINE__)(               \
       ARTHAS_OBS_CONCAT(_arthas_obs_hist_, __LINE__))
 
-// Anonymous timed span covering the rest of the enclosing scope.
-#define ARTHAS_SPAN(name)                                       \
-  ::arthas::obs::ScopedSpan ARTHAS_OBS_CONCAT(_arthas_obs_span_, \
-                                              __LINE__)(name)
-
-// Named span variable, for attaching attributes: ARTHAS_NAMED_SPAN(s, "x");
+// Timed span covering the rest of the enclosing scope, held in a named
+// variable for attaching attributes: ARTHAS_NAMED_SPAN(s, "x");
 // s.AddAttr("k", "v");
 #define ARTHAS_NAMED_SPAN(var, name) ::arthas::obs::ScopedSpan var(name)
 
@@ -100,9 +96,6 @@ class ScopedLatency {
   } while (0)
 #define ARTHAS_SCOPED_LATENCY(name) \
   do {                              \
-  } while (0)
-#define ARTHAS_SPAN(name) \
-  do {                    \
   } while (0)
 #define ARTHAS_NAMED_SPAN(var, name) \
   [[maybe_unused]] ::arthas::obs::NullSpan var

@@ -57,7 +57,7 @@ struct ProfileDiff {
   std::string ToText() const;
 
   // The "diff" section of the profile artifact
-  // (bench/check_profile_schema.py --require-diff validates it).
+  // (`bench/check_artifacts.py profile --require-diff` validates it).
   JsonValue ToJson() const;
 };
 

@@ -216,7 +216,7 @@ JsonValue ProfileVariantJson(const std::string& name,
                              double cycles_per_op);
 
 // Assembles the schema-versioned profile artifact
-// (bench/check_profile_schema.py validates it): {"schema_version": 1,
+// (`bench/check_artifacts.py profile` validates it): {"schema_version": 1,
 // "cycles_per_ns": ..., "variants": [...]}. Callers may Set() extra
 // sections (e.g. "diff") on the returned object.
 JsonValue ProfileDocumentJson(std::vector<JsonValue> variants);

@@ -22,8 +22,9 @@
 //   * closed accounting: per trace, the stage nanoseconds sum EXACTLY to
 //     end_ns - start_ns (server span) plus client wait (origin -> receipt)
 //     when a context was propagated — batch wait is the residual, so clock
-//     jitter cannot leak time out of the breakdown (check_tailtrace_schema
-//     gates >= 90% closure in CI and this construction makes it ~100%),
+//     jitter cannot leak time out of the breakdown (`check_artifacts.py
+//     tailtrace` gates >= 90% closure in CI and this construction makes it
+//     ~100%),
 //   * bounded memory: fixed-size rings per thread + one fixed top-K
 //     reservoir of slowest requests,
 //   * the ARTHAS_REQTRACE_* macros compile out under ARTHAS_OBS_DISABLED;

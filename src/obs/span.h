@@ -16,7 +16,7 @@
 // one thread_name metadata row per thread, so chrome://tracing renders
 // each worker on its own labelled track.
 //
-// Prefer the ARTHAS_SPAN(...) macros in obs/obs.h, which compile out under
+// Prefer the ARTHAS_NAMED_SPAN macro in obs/obs.h, which compiles out under
 // ARTHAS_OBS_DISABLED.
 
 #ifndef ARTHAS_OBS_SPAN_H_
@@ -88,7 +88,7 @@ class SpanTracer {
 };
 
 // RAII timed span reporting to SpanTracer::Global(). Created by
-// ARTHAS_SPAN / ARTHAS_NAMED_SPAN; usable directly where the macros are too
+// ARTHAS_NAMED_SPAN; usable directly where the macro is too
 // rigid (e.g. a span whose name is computed at runtime).
 class ScopedSpan {
  public:

@@ -378,7 +378,6 @@ Result<Oid> PmemPool::AllocInternal(size_t size, bool zero) {
   stats_.used_bytes = h->used_bytes;
   stats_.live_objects = h->live_objects;
   ARTHAS_COUNTER_ADD("pool.alloc.count", 1);
-  ARTHAS_GAUGE_SET("pool.used.bytes", h->used_bytes);
   ARTHAS_GAUGE_SET("pool.live.objects", h->live_objects);
   // Capacity plane: mirror cell (one live pool per system in every bench).
   ARTHAS_RESOURCE_SET("pmem.pool.used.bytes", "bytes", h->used_bytes);
@@ -461,7 +460,6 @@ Status PmemPool::FreeLocked(Oid oid) {
   stats_.used_bytes = h->used_bytes;
   stats_.live_objects = h->live_objects;
   ARTHAS_COUNTER_ADD("pool.free.count", 1);
-  ARTHAS_GAUGE_SET("pool.used.bytes", h->used_bytes);
   ARTHAS_GAUGE_SET("pool.live.objects", h->live_objects);
   ARTHAS_RESOURCE_SET("pmem.pool.used.bytes", "bytes", h->used_bytes);
   ARTHAS_FLIGHT_RECORD(obs::FrType::kFree, device_->device_id(), oid.off,

@@ -207,7 +207,6 @@ bool FaseSubstrate::AppendLocked(RecordKind kind, uint64_t section_id,
   log_device_->PersistQuiet(0, sizeof(header));
   // Capacity plane: the section log's durable footprint (mirror cells —
   // last writer wins; one substrate owns the log in every driver).
-  ARTHAS_GAUGE_SET("substrate.section_log_bytes", header.tail);
   ARTHAS_RESOURCE_SET("substrate.section.log.bytes", "bytes", header.tail);
   return true;
 }
@@ -217,7 +216,6 @@ void FaseSubstrate::ResetLogLocked() {
   std::memcpy(log_device_->Live(0), &header, sizeof(header));
   log_device_->PersistQuiet(0, sizeof(header));
   log_resets_.fetch_add(1, std::memory_order_relaxed);
-  ARTHAS_GAUGE_SET("substrate.section_log_bytes", header.tail);
   ARTHAS_RESOURCE_SET("substrate.section.log.bytes", "bytes", header.tail);
 }
 

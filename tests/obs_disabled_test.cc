@@ -26,7 +26,6 @@ TEST(ObsDisabledTest, MacrosAreNoOps) {
   ARTHAS_GAUGE_SET("disabled.gauge", 5);
   ARTHAS_HISTOGRAM_RECORD("disabled.ns", 5);
   { ARTHAS_SCOPED_LATENCY("disabled.scoped.ns"); }
-  { ARTHAS_SPAN("disabled.span"); }
   {
     ARTHAS_NAMED_SPAN(span, "disabled.named");
     span.AddAttr("k", std::string("v"));

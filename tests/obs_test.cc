@@ -315,11 +315,11 @@ TEST(SpanTest, ChromeMetadataRowsAreUnique) {
 #endif
   SpanTracer& tracer = SpanTracer::Global();
   tracer.Clear();
-  std::thread t1([] { ARTHAS_SPAN("meta.t1"); });
-  std::thread t2([] { ARTHAS_SPAN("meta.t2"); });
+  std::thread t1([] { ARTHAS_NAMED_SPAN(span, "meta.t1"); });
+  std::thread t2([] { ARTHAS_NAMED_SPAN(span, "meta.t2"); });
   t1.join();
   t2.join();
-  { ARTHAS_SPAN("meta.main"); }
+  { ARTHAS_NAMED_SPAN(span, "meta.main"); }
 
   auto parsed = JsonValue::Parse(tracer.ExportChromeJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -356,7 +356,7 @@ TEST(SpanTest, DisabledTracerRecordsNothing) {
   tracer.Clear();
   tracer.set_enabled(false);
   {
-    ARTHAS_SPAN("invisible");
+    ARTHAS_NAMED_SPAN(span, "invisible");
   }
   tracer.set_enabled(true);
   EXPECT_EQ(tracer.size(), 0u);

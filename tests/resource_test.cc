@@ -18,6 +18,8 @@
 #include "obs/resource/resource_accountant.h"
 #include "obs/resource/slo_tracker.h"
 #include "obs/timeseries.h"
+#include "pmem/pool.h"
+#include "substrate/fase_substrate.h"
 
 namespace arthas {
 namespace {
@@ -239,6 +241,56 @@ TEST(PayloadArenaAccountingTest, FourThreadChurnBalancesToZero) {
   EXPECT_EQ(CellValue("checkpoint.arena.bytes"), chunk0);
   EXPECT_EQ(CellValue("checkpoint.arena.live.bytes"), live0);
   EXPECT_EQ(CellValue("checkpoint.arena.freelist.bytes"), free0);
+}
+
+// --- Capacity cells published by their owners ---------------------------
+
+// The retained-version count, the pool's used bytes and the FASE section-log
+// tail are published only as capacity cells (last writer wins); each cell
+// must equal its owner's own count after every update.
+TEST(ResourceCellPublicationTest, CellsTrackTheirOwners) {
+  const int64_t versions0 = CellValue("checkpoint.retained.versions");
+  const int64_t used0 = CellValue("pmem.pool.used.bytes");
+  const int64_t log0 = CellValue("substrate.section.log.bytes");
+  auto mirrored = [](int64_t value, int64_t start) {
+    return kCellsMirror ? value : start;
+  };
+
+  auto pool = *PmemPool::Create("cells", 256 * 1024);
+  CheckpointLog log(*pool);
+  const Oid keep = *pool->Zalloc(256);
+  const Oid gone = *pool->Zalloc(512);
+  for (int i = 0; i < 5; i++) {
+    pool->Direct<uint8_t>(keep)[0] = static_cast<uint8_t>(i);
+    pool->Persist(keep, 0, 64);
+  }
+  EXPECT_GT(log.retained_versions(), 0u);
+  EXPECT_EQ(CellValue("checkpoint.retained.versions"),
+            mirrored(static_cast<int64_t>(log.retained_versions()), versions0));
+  EXPECT_EQ(CellValue("pmem.pool.used.bytes"),
+            mirrored(static_cast<int64_t>(pool->stats().used_bytes.load()),
+                     used0));
+  ASSERT_TRUE(pool->Free(gone).ok());
+  EXPECT_EQ(CellValue("pmem.pool.used.bytes"),
+            mirrored(static_cast<int64_t>(pool->stats().used_bytes.load()),
+                     used0));
+
+  auto fase_pool = *PmemPool::Create("cells.fase", 256 * 1024);
+  FaseSubstrate fase;
+  ASSERT_TRUE(fase.Attach(*fase_pool).ok());
+  const Oid oid = *fase_pool->Zalloc(256);
+  const uint64_t section = fase.NextSectionId();
+  fase.SectionBegin(section);
+  std::memset(fase_pool->Direct<uint8_t>(oid), 0x5A, 64);
+  fase_pool->Persist(oid, 0, 64);
+  const size_t open_tail = fase.log_tail();
+  EXPECT_EQ(CellValue("substrate.section.log.bytes"),
+            mirrored(static_cast<int64_t>(open_tail), log0));
+  fase.SectionEnd(section);
+  EXPECT_LT(fase.log_tail(), open_tail);  // pruned at commit
+  EXPECT_EQ(CellValue("substrate.section.log.bytes"),
+            mirrored(static_cast<int64_t>(fase.log_tail()), log0));
+  fase.Detach();
 }
 
 // --- Histogram::CountAbove ----------------------------------------------
