@@ -575,10 +575,11 @@ int RunRecorderOverhead(int repeat) {
                        repeat));
   plane.Clear();
 
-  // Every persist touches the arena and index cells (a relaxed load +
-  // relaxed RMW per acquire/release site); the toggle brackets whole
-  // MeasureThroughput calls, so each measured system is created and
-  // destroyed under one setting and the cells stay balanced.
+  // The accountant's cells are read functions its owners register, run
+  // only when the accountant is read; the switch decides whether a read
+  // calls them. No persist does accountant work in either setting, so
+  // this section should read about 1.00 (it stays as a guard against
+  // per-operation accounting creeping back).
   obs::ResourceAccountant& accountant = obs::ResourceAccountant::Global();
   doc.Set("accountant",
           MeasureOnOff(systems,

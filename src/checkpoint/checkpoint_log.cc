@@ -8,7 +8,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 #include "obs/profiler.h"
-#include "obs/resource/resource_accountant.h"
 
 namespace arthas {
 
@@ -34,15 +33,19 @@ uint64_t HashAddress(PmOffset address) {
 }  // namespace
 
 // --- PayloadArena ------------------------------------------------------------
-//
-// Bodies live here (not inline in the header) so the capacity-plane
-// instrumentation follows the same per-TU ARTHAS_OBS_DISABLED discipline
-// as the rest of this file. Cells are delta-maintained: every path that
-// acquires bytes adds, every path that releases them (including Clear and
-// the destructor) subtracts, so a Store/Release round-trip provably
-// returns the accountant to its starting values.
 
-PayloadArena::~PayloadArena() { Clear(); }
+PayloadArena::PayloadArena() {
+  obs::ResourceAccountant& accountant = obs::ResourceAccountant::Global();
+  chunk_source_ = accountant.Register(
+      "checkpoint.arena.bytes", "bytes",
+      [this] { return static_cast<int64_t>(allocated_bytes()); });
+  live_source_ = accountant.Register(
+      "checkpoint.arena.live.bytes", "bytes",
+      [this] { return static_cast<int64_t>(live_bytes()); });
+  freelist_source_ = accountant.Register(
+      "checkpoint.arena.freelist.bytes", "bytes",
+      [this] { return static_cast<int64_t>(freelist_bytes()); });
+}
 
 PayloadRef PayloadArena::Store(const uint8_t* src, size_t size) {
   if (size == 0) {
@@ -50,9 +53,7 @@ PayloadRef PayloadArena::Store(const uint8_t* src, size_t size) {
   }
   uint8_t* span = Alloc(size);
   std::memcpy(span, src, size);
-  const size_t footprint = SpanBytes(size);
-  live_bytes_ += footprint;
-  ARTHAS_RESOURCE_ADD("checkpoint.arena.live.bytes", "bytes", footprint);
+  Add(live_bytes_, SpanBytes(size));
   return PayloadRef(span, size);
 }
 
@@ -62,11 +63,8 @@ void PayloadArena::Release(PayloadRef ref) {
   }
   const size_t footprint = SpanBytes(ref.size());
   free_[ClassOf(ref.size())].push_back(const_cast<uint8_t*>(ref.data()));
-  live_bytes_ -= footprint;
-  freelist_bytes_ += footprint;
-  ARTHAS_RESOURCE_ADD("checkpoint.arena.live.bytes", "bytes",
-                      -static_cast<int64_t>(footprint));
-  ARTHAS_RESOURCE_ADD("checkpoint.arena.freelist.bytes", "bytes", footprint);
+  Sub(live_bytes_, footprint);
+  Add(freelist_bytes_, footprint);
 }
 
 void PayloadArena::Clear() {
@@ -76,48 +74,28 @@ void PayloadArena::Clear() {
   for (auto& list : free_) {
     list.clear();
   }
-  if (chunk_counter_ != nullptr) {
-    chunk_counter_->fetch_sub(allocated_bytes_, std::memory_order_relaxed);
-  }
-  ARTHAS_RESOURCE_ADD("checkpoint.arena.bytes", "bytes",
-                      -static_cast<int64_t>(allocated_bytes_));
-  ARTHAS_RESOURCE_ADD("checkpoint.arena.live.bytes", "bytes",
-                      -static_cast<int64_t>(live_bytes_));
-  ARTHAS_RESOURCE_ADD("checkpoint.arena.freelist.bytes", "bytes",
-                      -static_cast<int64_t>(freelist_bytes_));
-  allocated_bytes_ = 0;
-  live_bytes_ = 0;
-  freelist_bytes_ = 0;
-}
-
-void PayloadArena::AddChunkBytes(size_t bytes) {
-  allocated_bytes_ += bytes;
-  if (chunk_counter_ != nullptr) {
-    chunk_counter_->fetch_add(bytes, std::memory_order_relaxed);
-  }
-  ARTHAS_RESOURCE_ADD("checkpoint.arena.bytes", "bytes", bytes);
+  allocated_bytes_.store(0, std::memory_order_relaxed);
+  live_bytes_.store(0, std::memory_order_relaxed);
+  freelist_bytes_.store(0, std::memory_order_relaxed);
 }
 
 uint8_t* PayloadArena::Alloc(size_t size) {
   if (size > kMaxSmall) {
     chunks_.emplace_back(new uint8_t[size]);
-    AddChunkBytes(size);
+    Add(allocated_bytes_, size);
     return chunks_.back().get();
   }
   const size_t cls = ClassOf(size);
   if (!free_[cls].empty()) {
     uint8_t* span = free_[cls].back();
     free_[cls].pop_back();
-    const size_t cap = kMinClass << cls;
-    freelist_bytes_ -= cap;
-    ARTHAS_RESOURCE_ADD("checkpoint.arena.freelist.bytes", "bytes",
-                        -static_cast<int64_t>(cap));
+    Sub(freelist_bytes_, kMinClass << cls);
     return span;
   }
   const size_t cap = kMinClass << cls;
   if (remaining_ < cap) {
     chunks_.emplace_back(new uint8_t[kChunkBytes]);
-    AddChunkBytes(kChunkBytes);
+    Add(allocated_bytes_, kChunkBytes);
     cursor_ = chunks_.back().get();
     remaining_ = kChunkBytes;
   }
@@ -133,18 +111,25 @@ CheckpointLog::CheckpointLog(PmemPool& pool, CheckpointConfig config)
     : pool_(&pool),
       device_(&pool.device()),
       config_(config) {
-  for (Shard& shard : shards_) {
-    shard.arena.BindChunkCounter(&arena_bytes_);
-  }
+  obs::ResourceAccountant& accountant = obs::ResourceAccountant::Global();
+  index_source_ = accountant.Register(
+      "checkpoint.index.bytes", "bytes",
+      [this] { return static_cast<int64_t>(index_bytes()); });
+  versions_source_ = accountant.Register(
+      "checkpoint.retained.versions", "count",
+      [this] { return static_cast<int64_t>(retained_versions()); });
   device_->AddObserver(this);
   pool_->AddObserver(this);
 }
 
-CheckpointLog::~CheckpointLog() {
-  Detach();
-  // The shard arenas unwind their own cells; the index bytes are ours.
-  ARTHAS_RESOURCE_ADD("checkpoint.index.bytes", "bytes",
-                      -static_cast<int64_t>(index_bytes_.load()));
+CheckpointLog::~CheckpointLog() { Detach(); }
+
+uint64_t CheckpointLog::arena_bytes() const {
+  uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.arena.allocated_bytes();
+  }
+  return total;
 }
 
 void CheckpointLog::Detach() {
@@ -206,7 +191,6 @@ void CheckpointLog::InsertBucket(Shard& shard, PmOffset address,
 
 void CheckpointLog::AddIndexBytes(size_t bytes) {
   index_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  ARTHAS_RESOURCE_ADD("checkpoint.index.bytes", "bytes", bytes);
 }
 
 // (Re)builds the bucket array sized so the next insert keeps load <= 3/4.
@@ -259,11 +243,6 @@ void CheckpointLog::PublishTxBuffersLocked() const {
     }
     buffer.pairs.clear();
   });
-}
-
-void CheckpointLog::PublishRetainedVersions() const {
-  ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
-                      retained_versions_.load());
 }
 
 void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
@@ -346,7 +325,6 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
   ARTHAS_COUNTER_ADD("checkpoint.record.count", 1);
   ARTHAS_COUNTER_ADD("checkpoint.copy.bytes", 2 * size);
   ARTHAS_GAUGE_SET("checkpoint.entries.count", entry_count_.load());
-  PublishRetainedVersions();
 }
 
 void CheckpointLog::OnAlloc(PmOffset offset, size_t size) {
@@ -650,7 +628,6 @@ Result<bool> CheckpointLog::RevertSeq(SeqNum seq) {
     discard_from(static_cast<size_t>(idx) + 1);
     retained_versions_ -= discarded;
     ARTHAS_COUNTER_ADD("checkpoint.revert.count", discarded + 1);
-    PublishRetainedVersions();
     ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointRevert,
                          device_->device_id(), entry.address, discarded + 1,
                          seq, obs::FrReason::kDivergence);
@@ -675,7 +652,6 @@ Result<bool> CheckpointLog::RevertSeq(SeqNum seq) {
   discard_from(static_cast<size_t>(idx));
   retained_versions_ -= discarded;
   ARTHAS_COUNTER_ADD("checkpoint.revert.count", discarded);
-  PublishRetainedVersions();
   ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointRevert, device_->device_id(),
                        entry.address, discarded, seq);
   return false;
@@ -716,7 +692,6 @@ Result<uint64_t> CheckpointLog::RollbackToSeq(SeqNum seq) {
   stats_.reverted_updates += discarded;
   retained_versions_ -= discarded;
   ARTHAS_COUNTER_ADD("checkpoint.revert.count", discarded);
-  PublishRetainedVersions();
   ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointRollback,
                        device_->device_id(), 0, discarded, seq);
   return discarded;

@@ -73,6 +73,7 @@
 
 #include "common/status.h"
 #include "common/thread_registry.h"
+#include "obs/resource/resource_accountant.h"
 #include "pmem/pool.h"
 
 namespace arthas {
@@ -116,19 +117,17 @@ class PayloadRef {
 // their class and are reused verbatim; spans larger than the chunk size get
 // a dedicated chunk and are not recycled (reclaimed only by Clear).
 // Externally synchronized (the owning shard's mutex, or caller-serialized).
-// Byte accounting (the capacity plane, obs/resource): every chunk
-// allocation, span hand-out, and span recycle is mirrored — delta-exact —
-// into the process-wide ResourceAccountant cells "checkpoint.arena.bytes"
+// Byte accounting (the capacity plane, obs/resource): the arena registers
+// read functions for the process-wide cells "checkpoint.arena.bytes"
 // (chunk footprint), "checkpoint.arena.live.bytes" (spans held by
-// versions) and "checkpoint.arena.freelist.bytes" (spans awaiting reuse),
-// and unwound by Clear()/the destructor, so a Store/Release round-trip
-// returns the cells to their starting values (tests/resource_test.cc).
-// Method bodies live in checkpoint_log.cc so the instrumentation follows
-// the per-TU ARTHAS_OBS_DISABLED discipline without ODR hazards.
+// versions) and "checkpoint.arena.freelist.bytes" (spans awaiting reuse)
+// over its own three counters. The counters are relaxed atomics written
+// only by the serialized owner, so a capacity read takes no shard lock; a
+// Store/Release round-trip returns the cells to their starting values and
+// a destroyed arena's bytes leave them (tests/resource_test.cc).
 class PayloadArena {
  public:
-  PayloadArena() = default;
-  ~PayloadArena();  // unwinds the accountant like Clear()
+  PayloadArena();
 
   PayloadArena(const PayloadArena&) = delete;
   PayloadArena& operator=(const PayloadArena&) = delete;
@@ -143,18 +142,17 @@ class PayloadArena {
   // Drops every chunk; all outstanding PayloadRefs become invalid.
   void Clear();
 
-  size_t allocated_bytes() const { return allocated_bytes_; }
+  size_t allocated_bytes() const {
+    return allocated_bytes_.load(std::memory_order_relaxed);
+  }
   // Bytes handed out by Store and not yet Released. Large spans
   // (> kMaxSmall) stay live until Clear, mirroring their lifetime.
-  size_t live_bytes() const { return live_bytes_; }
+  size_t live_bytes() const {
+    return live_bytes_.load(std::memory_order_relaxed);
+  }
   // Bytes parked on the size-class free lists, ready for reuse.
-  size_t freelist_bytes() const { return freelist_bytes_; }
-
-  // Mirrors chunk-allocation deltas into an owner-provided atomic so the
-  // owning CheckpointLog can publish a whole-log arena-bytes gauge
-  // without walking 16 shard mutexes. Pass nullptr to detach.
-  void BindChunkCounter(std::atomic<uint64_t>* counter) {
-    chunk_counter_ = counter;
+  size_t freelist_bytes() const {
+    return freelist_bytes_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -179,17 +177,30 @@ class PayloadArena {
     return size > kMaxSmall ? size : kMinClass << ClassOf(size);
   }
 
+  // Single-writer counter updates: a relaxed load and store, no
+  // read-modify-write (only the serialized owner writes).
+  static void Add(std::atomic<size_t>& counter, size_t bytes) {
+    counter.store(counter.load(std::memory_order_relaxed) + bytes,
+                  std::memory_order_relaxed);
+  }
+  static void Sub(std::atomic<size_t>& counter, size_t bytes) {
+    counter.store(counter.load(std::memory_order_relaxed) - bytes,
+                  std::memory_order_relaxed);
+  }
+
   uint8_t* Alloc(size_t size);
-  void AddChunkBytes(size_t bytes);
 
   std::vector<std::unique_ptr<uint8_t[]>> chunks_;
   uint8_t* cursor_ = nullptr;  // bump pointer into chunks_.back()
   size_t remaining_ = 0;
-  size_t allocated_bytes_ = 0;
-  size_t live_bytes_ = 0;
-  size_t freelist_bytes_ = 0;
-  std::atomic<uint64_t>* chunk_counter_ = nullptr;
+  std::atomic<size_t> allocated_bytes_{0};
+  std::atomic<size_t> live_bytes_{0};
+  std::atomic<size_t> freelist_bytes_{0};
   std::array<std::vector<uint8_t*>, kNumClasses> free_;
+  // Declared last so they unregister before the counters they read die.
+  obs::ResourceSource chunk_source_;
+  obs::ResourceSource live_source_;
+  obs::ResourceSource freelist_source_;
 };
 
 // One retained version of a PM address range. Payloads are views into the
@@ -271,9 +282,9 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   size_t entry_count() const { return entry_count_.load(); }
 
   // Capacity accounting, maintained under the shard mutexes and readable
-  // lock-free (the OnPersist gauges and bench_soak read these):
+  // lock-free (the capacity cells and perfbench read these):
   // heap bytes held by the shard payload arenas (chunk footprint), ...
-  uint64_t arena_bytes() const { return arena_bytes_.load(); }
+  uint64_t arena_bytes() const;
   // ... heap bytes held by the per-shard indexes (entry slots, pre-history
   // originals, hash buckets, seq index), ...
   uint64_t index_bytes() const { return index_bytes_.load(); }
@@ -411,11 +422,8 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Restore that steps around current allocator metadata in the range.
   void RestoreBytes(PmOffset address, const uint8_t* data, size_t size);
   void RaiseMaxExtent(size_t extent);
-  // Index-footprint growth (entries never shrink outside destruction):
-  // bumps index_bytes_ and the "checkpoint.index.bytes" accountant cell.
+  // Index-footprint growth (entries never shrink outside destruction).
   void AddIndexBytes(size_t bytes);
-  // Publishes retained_versions_ to its capacity cell.
-  void PublishRetainedVersions() const;
 
   PmemPool* pool_;  // null after Detach()
   PmemDevice* device_;
@@ -433,17 +441,17 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   std::map<PmOffset, AllocationRecord> allocations_;
   std::atomic<SeqNum> next_seq_{1};
   std::atomic<uint64_t> entry_count_{0};
-  // Currently retained versions across all entries (mirrored to the
-  // `checkpoint.retained.versions` capacity cell by
-  // PublishRetainedVersions).
+  // Currently retained versions across all entries and index bytes
+  // (AddIndexBytes); read by the capacity cells
+  // `checkpoint.retained.versions` and `checkpoint.index.bytes`.
   std::atomic<uint64_t> retained_versions_{0};
-  // Shard arena chunk bytes (every shard arena is bound to this counter)
-  // and index bytes (AddIndexBytes), for the capacity gauges.
-  std::atomic<uint64_t> arena_bytes_{0};
   std::atomic<uint64_t> index_bytes_{0};
   // Largest extent any entry ever reached (bounds the Overlapping scan).
   std::atomic<size_t> max_extent_{0};
   CheckpointStats stats_;
+  // Declared last so they unregister before the counters they read die.
+  obs::ResourceSource index_source_;
+  obs::ResourceSource versions_source_;
 };
 
 }  // namespace arthas

@@ -18,7 +18,6 @@
 #include "checkpoint/checkpoint_log.h"
 #include "common/clock.h"
 #include "obs/obs.h"
-#include "obs/resource/resource_accountant.h"
 
 namespace arthas {
 
@@ -218,8 +217,6 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
   uint64_t total_versions = 0;
   // The rebuild replaces the whole index: restart its byte accounting and
   // let the per-entry adds and RehashLocked re-accumulate it.
-  ARTHAS_RESOURCE_ADD("checkpoint.index.bytes", "bytes",
-                      -static_cast<int64_t>(index_bytes_.load()));
   index_bytes_.store(0);
   for (size_t si = 0; si < kNumShards; si++) {
     std::lock_guard<std::mutex> lock(shards_[si].mutex);

@@ -13,7 +13,6 @@
 
 #include "obs/obs.h"
 #include "obs/reqtrace.h"
-#include "obs/resource/resource_accountant.h"
 
 namespace arthas {
 namespace net {
@@ -114,16 +113,16 @@ Status NetServer::Start() {
   // Loop 0 owns the listener.
   ARTHAS_RETURN_IF_ERROR(loops_[0]->poller->Add(listen_fd_, false));
 
-  // Backpressure gauges for the sampler's timeline (probe-only: a probe's
-  // series must not collide with a registry gauge of the same name, since
-  // the sampler scrapes registry gauges too).
-  outbuf_probe_ = ARTHAS_TELEMETRY_PROBE(
-      "net.conn.outbuf_bytes", obs::ProbeKind::kGauge, [this]() {
+  // Pending reply bytes as a capacity cell; queue depth as a sampler probe
+  // (probe-only: a probe's series must not collide with a registry gauge of
+  // the same name, since the sampler scrapes registry gauges too).
+  outbuf_source_ = obs::ResourceAccountant::Global().Register(
+      "net.outbuf.bytes", "bytes", [this] {
         int64_t total = 0;
         for (const auto& loop : loops_) {
           total += loop->outbuf_bytes.load(std::memory_order_relaxed);
         }
-        return static_cast<double>(total);
+        return total;
       });
   queue_probe_ = ARTHAS_TELEMETRY_PROBE(
       "net.loop.queue_depth", obs::ProbeKind::kGauge, [this]() {
@@ -146,11 +145,9 @@ Status NetServer::Start() {
 
 void NetServer::Stop() {
   running_.store(false, std::memory_order_release);
-  // The probe lambdas walk loops_; detach them before any teardown.
-  if (outbuf_probe_ != obs::kNoProbe) {
-    ARTHAS_TELEMETRY_UNPROBE(outbuf_probe_);
-    outbuf_probe_ = obs::kNoProbe;
-  }
+  // The source and probe lambdas walk loops_; detach them before any
+  // teardown.
+  outbuf_source_.Reset();
   if (queue_probe_ != obs::kNoProbe) {
     ARTHAS_TELEMETRY_UNPROBE(queue_probe_);
     queue_probe_ = obs::kNoProbe;
@@ -163,10 +160,6 @@ void NetServer::Stop() {
   }
   for (auto& loop : loops_) {
     for (auto& [fd, conn] : loop->connections) {
-      // Connections torn down wholesale bypass CloseConnection: unwind
-      // their accounted outbuf bytes here so the cell returns to baseline.
-      ARTHAS_RESOURCE_ADD("net.outbuf.bytes", "bytes",
-                          -static_cast<int64_t>(conn->outbuf_accounted));
       ::close(fd);
     }
     loop->connections.clear();
@@ -293,9 +286,6 @@ void NetServer::AccountOutbuf(Loop& loop, Connection& conn) {
     const int64_t delta = static_cast<int64_t>(pending) -
                           static_cast<int64_t>(conn.outbuf_accounted);
     loop.outbuf_bytes.fetch_add(delta, std::memory_order_relaxed);
-    // Capacity plane: process-wide pending-reply bytes across all loops
-    // (delta-maintained; CloseConnection and Stop unwind).
-    ARTHAS_RESOURCE_ADD("net.outbuf.bytes", "bytes", delta);
     conn.outbuf_accounted = pending;
   }
 }
@@ -404,9 +394,6 @@ void NetServer::CloseConnection(Loop& loop, int fd) {
   loop.outbuf_bytes.fetch_sub(
       static_cast<int64_t>(it->second->outbuf_accounted),
       std::memory_order_relaxed);
-  ARTHAS_RESOURCE_ADD(
-      "net.outbuf.bytes", "bytes",
-      -static_cast<int64_t>(it->second->outbuf_accounted));
   loop.poller->Remove(fd);
   ::close(fd);
   loop.connections.erase(it);

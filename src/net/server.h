@@ -39,6 +39,7 @@
 #include "net/dispatcher.h"
 #include "net/poller.h"
 #include "net/protocol.h"
+#include "obs/resource/resource_accountant.h"
 #include "obs/timeseries.h"
 
 namespace arthas {
@@ -88,8 +89,8 @@ class NetServer {
     RequestParser parser;
     std::string outbuf;       // bytes the socket would not take yet
     size_t outbuf_sent = 0;   // prefix of outbuf already written
-    // Pending bytes last folded into the loop's outbuf_bytes gauge (the
-    // delta scheme keeps the gauge exact across partial writes/teardown).
+    // Pending bytes last folded into the loop's outbuf_bytes (the delta
+    // scheme keeps the sum exact across partial writes and closes).
     size_t outbuf_accounted = 0;
     bool want_write = false;  // poller registered for writability
     bool closing = false;     // QUIT seen: close once outbuf drains
@@ -106,9 +107,10 @@ class NetServer {
     std::mutex mailbox_mutex;
     std::vector<int> mailbox;  // accepted fds awaiting adoption
     std::unordered_map<int, std::unique_ptr<Connection>> connections;
-    // Backpressure gauges scraped by the telemetry-sampler probes: bytes
-    // replies are stuck in outbufs, and how many readiness events the last
-    // poll wait returned (a loop's instantaneous queue depth).
+    // Backpressure counts: bytes replies are stuck in outbufs (read by the
+    // `net.outbuf.bytes` capacity cell), and how many readiness events the
+    // last poll wait returned (a loop's instantaneous queue depth, the
+    // `net.loop.queue_depth` sampler probe).
     std::atomic<int64_t> outbuf_bytes{0};
     std::atomic<int64_t> queue_depth{0};
   };
@@ -133,9 +135,11 @@ class NetServer {
   std::atomic<size_t> next_loop_{0};  // round-robin accept target
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> connections_open_{0};
-  // Sampler probes summing the per-loop backpressure gauges (registered in
-  // Start(), unregistered in Stop() before loops_ is torn down).
-  obs::ProbeId outbuf_probe_ = obs::kNoProbe;
+  // Sum over loops_ of outbuf_bytes and queue_depth, published as the
+  // `net.outbuf.bytes` capacity cell and the `net.loop.queue_depth` sampler
+  // probe (registered at the end of Start(), dropped first in Stop() before
+  // loops_ is torn down).
+  obs::ResourceSource outbuf_source_;
   obs::ProbeId queue_probe_ = obs::kNoProbe;
 };
 

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <utility>
 #include <dirent.h>
 
 namespace arthas {
@@ -24,17 +25,70 @@ ResourceAccountant& ResourceAccountant::Global() {
   return *instance;
 }
 
-ResourceCell& ResourceAccountant::GetCell(const std::string& name,
-                                          const std::string& unit) {
-  std::lock_guard<std::mutex> guard(mutex_);
+ResourceSource& ResourceSource::operator=(ResourceSource&& other) noexcept {
+  if (this != &other) {
+    Reset();
+    accountant_ = other.accountant_;
+    id_ = other.id_;
+    other.accountant_ = nullptr;
+  }
+  return *this;
+}
+
+void ResourceSource::Reset() {
+  if (accountant_ != nullptr) {
+    accountant_->Unregister(id_);
+    accountant_ = nullptr;
+  }
+}
+
+ResourceAccountant::Cell& ResourceAccountant::CellLocked(
+    const std::string& name, const std::string& unit) {
   auto it = cells_.find(name);
   if (it == cells_.end()) {
-    it = cells_
-             .emplace(name, std::unique_ptr<ResourceCell>(
-                                new ResourceCell(name, unit, &enabled_)))
-             .first;
+    it = cells_.emplace(name, Cell{unit, 0, {}}).first;
   }
-  return *it->second;
+  return it->second;
+}
+
+int64_t ResourceAccountant::ValueLocked(const Cell& cell) const {
+  if (!enabled()) {
+    return 0;
+  }
+  int64_t sum = 0;
+  for (const auto& [id, read] : cell.sources) {
+    sum += read();
+  }
+  return sum;
+}
+
+ResourceSource ResourceAccountant::Register(const std::string& name,
+                                            const std::string& unit,
+                                            std::function<int64_t()> read) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  const uint64_t id = next_source_id_++;
+  CellLocked(name, unit).sources.emplace_back(id, std::move(read));
+  return ResourceSource(this, id);
+}
+
+void ResourceAccountant::Unregister(uint64_t id) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  for (auto& [name, cell] : cells_) {
+    auto& sources = cell.sources;
+    for (auto it = sources.begin(); it != sources.end(); ++it) {
+      if (it->first == id) {
+        std::swap(*it, sources.back());
+        sources.pop_back();
+        return;
+      }
+    }
+  }
+}
+
+int64_t ResourceAccountant::Value(const std::string& name) const {
+  std::lock_guard<std::mutex> guard(mutex_);
+  auto it = cells_.find(name);
+  return it == cells_.end() ? 0 : ValueLocked(it->second);
 }
 
 bool ResourceAccountant::Has(const std::string& name) const {
@@ -44,14 +98,8 @@ bool ResourceAccountant::Has(const std::string& name) const {
 
 void ResourceAccountant::SetBudget(const std::string& name, int64_t budget,
                                    const std::string& unit) {
-  GetCell(name, unit).set_budget(budget);
-}
-
-void ResourceAccountant::ResetAll() {
   std::lock_guard<std::mutex> guard(mutex_);
-  for (auto& [name, cell] : cells_) {
-    cell->value_.store(0, std::memory_order_relaxed);
-  }
+  CellLocked(name, unit).budget = budget;
 }
 
 std::vector<ResourceCellSnapshot> ResourceAccountant::Snapshot(
@@ -63,9 +111,9 @@ std::vector<ResourceCellSnapshot> ResourceAccountant::Snapshot(
     for (const auto& [name, cell] : cells_) {
       ResourceCellSnapshot snap;
       snap.name = name;
-      snap.unit = cell->unit();
-      snap.value = cell->value();
-      snap.budget = cell->budget();
+      snap.unit = cell.unit;
+      snap.value = ValueLocked(cell);
+      snap.budget = cell.budget;
       out.push_back(std::move(snap));
     }
   }
@@ -97,22 +145,21 @@ JsonValue ResourceAccountant::SnapshotJson() const {
 
 std::vector<ProbeId> ResourceAccountant::RegisterSamplerProbes(
     TelemetrySampler& sampler) {
-  std::vector<const ResourceCell*> cells;
+  // Names first, probes after: the sampler lock is taken outside ours.
+  std::vector<std::string> names;
   {
     std::lock_guard<std::mutex> guard(mutex_);
-    cells.reserve(cells_.size());
+    names.reserve(cells_.size());
     for (const auto& [name, cell] : cells_) {
-      cells.push_back(cell.get());
+      names.push_back(name);
     }
   }
   std::vector<ProbeId> ids;
-  ids.reserve(cells.size() + 2);
-  for (const ResourceCell* cell : cells) {
-    // Cells are never removed, so the captured pointer stays valid for
-    // the probe's lifetime.
+  ids.reserve(names.size() + 2);
+  for (const std::string& name : names) {
     ids.push_back(sampler.RegisterProbe(
-        "resource." + cell->name(), ProbeKind::kGauge,
-        [cell] { return static_cast<double>(cell->value()); }));
+        "resource." + name, ProbeKind::kGauge,
+        [this, name] { return static_cast<double>(Value(name)); }));
   }
   ids.push_back(sampler.RegisterProbe(
       "process.rss.bytes", ProbeKind::kGauge,

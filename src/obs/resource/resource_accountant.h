@@ -1,32 +1,29 @@
 // Byte-exact resource accounting: the capacity half of the observability
 // stack. Metrics gauges answer "what is the value right now as last
 // reported"; ResourceAccountant cells answer "how many bytes does this
-// subsystem *hold*", maintained by the exact code paths that acquire and
-// release the bytes, so a Store/Release round-trip provably returns a cell
-// to its starting value (tests/resource_test.cc holds the line on this).
+// subsystem *hold*".
 //
-// Two disciplines coexist, named per cell in the wiring comments:
-//   * delta-maintained: every acquire site does Add(+n) and every release
-//     site (including teardown) does Add(-n). The cell is exact at all
-//     times — checkpoint arena chunks/live/freelist bytes, checkpoint
-//     index bytes, net-plane outbuf bytes.
-//   * mirror: a point-in-time Set() at the owning structure's update site —
-//     FASE section-log tail, pmem pool used bytes, retained versions.
-//     Exact while one instance owns the name (true in every bench and in
-//     production shape); documented as last-writer-wins otherwise.
+// One rule for every cell: a cell's value is the sum of the read functions
+// registered on it by the objects that hold the bytes (PayloadArena,
+// CheckpointLog, PmemPool, FaseSubstrate, NetServer). Each owner already
+// keeps its own exact count; it registers a function reading that count
+// when it is built and the returned ResourceSource unregisters it when the
+// owner dies, so a cell is the process-wide total over live owners and a
+// destroyed owner's bytes leave with it. The functions run only when the
+// accountant is read — Snapshot, Value, the CAPACITY wire command and the
+// sampler probes — so no request path does accountant work, and the
+// registration is the same code in the ARTHAS_OBS_DISABLED build.
 //
-// Design constraints, in order (same contract as obs/metrics.h):
-//   * hot-path updates are one relaxed load (enabled check) plus one
-//     relaxed RMW; call sites cache the cell handle in a function-local
-//     static (ARTHAS_RESOURCE_ADD / ARTHAS_RESOURCE_SET below),
-//   * cells are never removed, so handles stay valid process-wide,
-//   * a process-wide `enabled` switch lets bench_overhead measure the
-//     accountant's on/off throughput ratio (CI gates it at 1.08); toggling
-//     is meant to bracket whole system lifetimes — a system created while
-//     disabled and destroyed while enabled would unwind bytes it never
-//     recorded,
-//   * the macros compile to nothing under ARTHAS_OBS_DISABLED; the classes
-//     stay linkable either way (same per-TU discipline as obs/obs.h).
+// A cell with no live source reads 0 (a budget-only cell from SetBudget is
+// one). Cells are never removed once named, so a snapshot keeps listing a
+// cell after its last owner is gone.
+//
+// Lock order: TelemetrySampler lock -> accountant mutex -> at most one
+// owner lock (today only FaseSubstrate::log_mutex_, taken by its
+// log_tail() source; every other source reads relaxed atomics). Owners
+// must never register or unregister while holding a lock a source takes.
+// (The TSan CI job runs with detect_deadlocks=0, so this order is checked
+// by review, not by the tool.)
 //
 // The accountant feeds the rest of the capacity plane: RegisterSamplerProbes
 // publishes every cell as a `resource.<cell>` gauge series on the
@@ -39,8 +36,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -53,50 +50,30 @@ namespace obs {
 
 class ResourceAccountant;
 
-// One accounted resource: a signed byte (or count) total plus an optional
-// declared budget the growth forecaster measures time-to-exhaustion
-// against. Updates are relaxed atomics; readers see a torn-free value.
-class ResourceCell {
+// One registered read function. Move-only; destroying (or Reset()ting)
+// the handle removes the function from its cell, and once that returns the
+// function is never called again.
+class ResourceSource {
  public:
-  void Add(int64_t delta) {
-    if (!enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void Set(int64_t value) {
-    if (!enabled_->load(std::memory_order_relaxed)) {
-      return;
-    }
-    value_.store(value, std::memory_order_relaxed);
-  }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  ResourceSource() = default;
+  ResourceSource(ResourceSource&& other) noexcept { *this = std::move(other); }
+  ResourceSource& operator=(ResourceSource&& other) noexcept;
+  ~ResourceSource() { Reset(); }
 
-  // 0 = no declared budget (forecasts stay open-ended).
-  int64_t budget() const { return budget_.load(std::memory_order_relaxed); }
-  void set_budget(int64_t budget) {
-    budget_.store(budget, std::memory_order_relaxed);
-  }
-
-  const std::string& name() const { return name_; }
-  const std::string& unit() const { return unit_; }
+  void Reset();
 
  private:
   friend class ResourceAccountant;
-  ResourceCell(std::string name, std::string unit,
-               const std::atomic<bool>* enabled)
-      : name_(std::move(name)), unit_(std::move(unit)), enabled_(enabled) {}
+  ResourceSource(ResourceAccountant* accountant, uint64_t id)
+      : accountant_(accountant), id_(id) {}
 
-  std::string name_;
-  std::string unit_;  // "bytes" | "count" | "fds"
-  std::atomic<int64_t> value_{0};
-  std::atomic<int64_t> budget_{0};
-  const std::atomic<bool>* enabled_;  // the owning accountant's switch
+  ResourceAccountant* accountant_ = nullptr;
+  uint64_t id_ = 0;
 };
 
 struct ResourceCellSnapshot {
   std::string name;
-  std::string unit;
+  std::string unit;  // "bytes" | "count" | "fds"
   int64_t value = 0;
   int64_t budget = 0;  // 0 = none declared
 
@@ -109,28 +86,31 @@ class ResourceAccountant {
   ResourceAccountant(const ResourceAccountant&) = delete;
   ResourceAccountant& operator=(const ResourceAccountant&) = delete;
 
-  // The process-wide accountant the macros and the wiring report into.
+  // The process-wide accountant the owners register with.
   static ResourceAccountant& Global();
 
-  // Finds or creates a cell. The reference stays valid for the
-  // accountant's lifetime; the first creation's unit wins.
-  ResourceCell& GetCell(const std::string& name,
-                        const std::string& unit = "bytes");
+  // Adds `read` to the cell `name` (created on first use; the first
+  // creation's unit wins). Call without holding any lock `read` takes.
+  [[nodiscard]] ResourceSource Register(const std::string& name,
+                                        const std::string& unit,
+                                        std::function<int64_t()> read);
+
+  // Sum over the cell's live sources; 0 for an unknown cell, a cell with
+  // no source, or while disabled.
+  int64_t Value(const std::string& name) const;
   bool Has(const std::string& name) const;
 
-  // Declares (or clears, with 0) a byte budget; creates the cell if new.
+  // Declares (or clears, with 0) a byte budget the growth forecaster
+  // measures time-to-exhaustion against; creates the cell if new.
   void SetBudget(const std::string& name, int64_t budget,
                  const std::string& unit = "bytes");
 
-  // The on/off switch bench_overhead toggles. Disabled cells ignore
-  // Add/Set; values persist across a disable/enable cycle.
+  // Publication switch (bench_overhead and bench_soak time on vs off).
+  // While disabled no source is read and every cell reports 0.
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  // Zeroes every cell's value (budgets and names survive). Tests only.
-  void ResetAll();
 
   // All cells, name order, plus synthetic point-in-time process cells
   // ("process.rss.bytes", "process.open.fds") read from /proc/self at
@@ -139,11 +119,11 @@ class ResourceAccountant {
   JsonValue SnapshotJson() const;
 
   // Publishes one kGauge probe per existing cell onto `sampler`, named
-  // "resource.<cell>", plus "process.rss.bytes" and "process.open.fds".
-  // Cells created after this call are not retroactively published — call
-  // it once the wired subsystems exist (bench_soak does this after
-  // building its system). Pair with UnregisterSamplerProbes before the
-  // sampler outlives interest.
+  // "resource.<cell>" and reading Value(<cell>), plus "process.rss.bytes"
+  // and "process.open.fds". Cells first named after this call are not
+  // retroactively published — call it once the owners exist (bench_soak
+  // does this after building its system). Pair with
+  // UnregisterSamplerProbes before the sampler outlives interest.
   std::vector<ProbeId> RegisterSamplerProbes(TelemetrySampler& sampler);
   static void UnregisterSamplerProbes(TelemetrySampler& sampler,
                                       const std::vector<ProbeId>& ids);
@@ -153,42 +133,28 @@ class ResourceAccountant {
   static int64_t ProcessOpenFds();
 
  private:
+  friend class ResourceSource;
+
+  struct Cell {
+    std::string unit;
+    int64_t budget = 0;
+    // (source id, read function). A vector, not a node container: once a
+    // cell has seen its usual number of owners, registering and
+    // unregistering allocate nothing.
+    std::vector<std::pair<uint64_t, std::function<int64_t()>>> sources;
+  };
+
+  Cell& CellLocked(const std::string& name, const std::string& unit);
+  int64_t ValueLocked(const Cell& cell) const;
+  void Unregister(uint64_t id);
+
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<ResourceCell>> cells_;
+  std::map<std::string, Cell> cells_;
+  uint64_t next_source_id_ = 1;
   std::atomic<bool> enabled_{true};
 };
 
 }  // namespace obs
 }  // namespace arthas
-
-// Call-site macros, compiled out under ARTHAS_OBS_DISABLED (same contract
-// as ARTHAS_COUNTER_ADD: the handle is a function-local static, so steady
-// state is one relaxed load + one relaxed RMW).
-#ifndef ARTHAS_OBS_DISABLED
-
-#define ARTHAS_RESOURCE_ADD(name, unit, delta)                            \
-  do {                                                                    \
-    static ::arthas::obs::ResourceCell& _arthas_obs_rc =                  \
-        ::arthas::obs::ResourceAccountant::Global().GetCell(name, unit);  \
-    _arthas_obs_rc.Add(static_cast<int64_t>(delta));                      \
-  } while (0)
-
-#define ARTHAS_RESOURCE_SET(name, unit, value)                            \
-  do {                                                                    \
-    static ::arthas::obs::ResourceCell& _arthas_obs_rc =                  \
-        ::arthas::obs::ResourceAccountant::Global().GetCell(name, unit);  \
-    _arthas_obs_rc.Set(static_cast<int64_t>(value));                      \
-  } while (0)
-
-#else  // ARTHAS_OBS_DISABLED
-
-#define ARTHAS_RESOURCE_ADD(name, unit, delta) \
-  do {                                         \
-  } while (0)
-#define ARTHAS_RESOURCE_SET(name, unit, value) \
-  do {                                         \
-  } while (0)
-
-#endif  // ARTHAS_OBS_DISABLED
 
 #endif  // ARTHAS_OBS_RESOURCE_RESOURCE_ACCOUNTANT_H_

@@ -128,9 +128,12 @@ void SloTracker::PruneLocked(int64_t now_ns) {
   }
 }
 
-double SloTracker::BurnRateLocked(size_t idx, double window_sec) const {
+SloWindowStats SloTracker::WindowStatsLocked(size_t idx,
+                                             double window_sec) const {
+  SloWindowStats stats;
+  stats.window_sec = window_sec;
   if (rows_.size() < 2) {
-    return 0;
+    return stats;
   }
   const Row& newest = rows_.back();
   const int64_t window_start =
@@ -144,19 +147,20 @@ double SloTracker::BurnRateLocked(size_t idx, double window_sec) const {
     }
     base = &row;
   }
+  stats.complete = base->t_ns <= window_start;
   if (base == &newest) {
-    return 0;
+    return stats;
   }
-  const uint64_t total = newest.counts[idx].first - base->counts[idx].first;
-  const uint64_t bad = newest.counts[idx].second >= base->counts[idx].second
-                           ? newest.counts[idx].second - base->counts[idx].second
-                           : 0;
-  if (total == 0) {
-    return 0;
+  const auto& [total_now, bad_now] = newest.counts[idx];
+  const auto& [total_base, bad_base] = base->counts[idx];
+  stats.total = total_now - total_base;
+  stats.bad = bad_now >= bad_base ? bad_now - bad_base : 0;
+  if (stats.total > 0) {
+    stats.bad_fraction = static_cast<double>(stats.bad) / stats.total;
+    const double error_budget = 1.0 - targets_[idx].objective;
+    stats.burn_rate = error_budget > 0 ? stats.bad_fraction / error_budget : 0;
   }
-  const double bad_fraction = static_cast<double>(bad) / total;
-  const double error_budget = 1.0 - targets_[idx].objective;
-  return error_budget > 0 ? bad_fraction / error_budget : 0;
+  return stats;
 }
 
 double SloTracker::BurnRate(const std::string& label,
@@ -164,7 +168,7 @@ double SloTracker::BurnRate(const std::string& label,
   std::lock_guard<std::mutex> guard(mutex_);
   for (size_t i = 0; i < targets_.size(); i++) {
     if (targets_[i].label == label) {
-      return BurnRateLocked(i, window_sec);
+      return WindowStatsLocked(i, window_sec).burn_rate;
     }
   }
   return 0;
@@ -175,38 +179,12 @@ SloTargetReport SloTracker::ReportTargetLocked(size_t idx) const {
   report.target = targets_[idx];
   report.breached = !windows_sec_.empty();
   for (const double window_sec : windows_sec_) {
-    SloWindowStats stats;
-    stats.window_sec = window_sec;
-    if (rows_.size() >= 2) {
-      const Row& newest = rows_.back();
-      const int64_t window_start =
-          newest.t_ns - static_cast<int64_t>(window_sec * 1e9);
-      const Row* base = &rows_.front();
-      for (const Row& row : rows_) {
-        if (row.t_ns > window_start) {
-          break;
-        }
-        base = &row;
-      }
-      stats.complete = base->t_ns <= window_start;
-      if (base != &newest) {
-        stats.total = newest.counts[idx].first - base->counts[idx].first;
-        stats.bad = newest.counts[idx].second >= base->counts[idx].second
-                        ? newest.counts[idx].second - base->counts[idx].second
-                        : 0;
-        if (stats.total > 0) {
-          stats.bad_fraction = static_cast<double>(stats.bad) / stats.total;
-          const double error_budget = 1.0 - targets_[idx].objective;
-          stats.burn_rate =
-              error_budget > 0 ? stats.bad_fraction / error_budget : 0;
-        }
-      }
-    }
+    SloWindowStats stats = WindowStatsLocked(idx, window_sec);
     report.worst_burn_rate = std::max(report.worst_burn_rate, stats.burn_rate);
     if (stats.burn_rate <= 1.0) {
       report.breached = false;
     }
-    report.windows.push_back(stats);
+    report.windows.push_back(std::move(stats));
   }
   return report;
 }

@@ -117,8 +117,10 @@ class SloTracker {
   };
 
   void SampleLocked(int64_t now_ns);
+  // Window totals and burn rate of one target: the delta from the newest
+  // row at or before the window start to the newest row.
+  SloWindowStats WindowStatsLocked(size_t idx, double window_sec) const;
   SloTargetReport ReportTargetLocked(size_t idx) const;
-  double BurnRateLocked(size_t idx, double window_sec) const;
   void PruneLocked(int64_t now_ns);
 
   mutable std::mutex mutex_;

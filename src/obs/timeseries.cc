@@ -208,47 +208,32 @@ void TelemetrySampler::CompactRingLocked(Ring& ring) {
 void TelemetrySampler::SampleTick(int64_t now) {
   // The registry has its own mutex; snapshot it before taking ours so the
   // two locks never nest in both orders.
-  bool want_counters = false;
-  bool want_gauges = false;
-  {
-    std::lock_guard<std::mutex> lock(lock_);
-    want_counters = options_.sample_counters;
-    want_gauges = options_.sample_gauges;
-  }
-  RegistrySnapshot snap;
-  if (want_counters || want_gauges) {
-    snap = MetricsRegistry::Global().Snapshot();
-  }
+  RegistrySnapshot snap = MetricsRegistry::Global().Snapshot();
 
   std::lock_guard<std::mutex> lock(lock_);
   samples_++;
   if (start_ns_ == 0) {
     start_ns_ = now;
   }
-  if (want_gauges) {
-    for (const auto& [name, value] : snap.gauges) {
-      PushPointLocked(name, "gauge", /*sum_on_merge=*/false, now,
-                      static_cast<double>(value));
-    }
+  for (const auto& [name, value] : snap.gauges) {
+    PushPointLocked(name, "gauge", /*sum_on_merge=*/false, now,
+                    static_cast<double>(value));
   }
-  if (want_counters) {
-    if (!have_baseline_) {
-      // First tick after Reset (or a never-started sampler): prime the
-      // baseline so this tick records zero deltas instead of
-      // since-process-start totals.
-      registry_baseline_ = snap;
-      have_baseline_ = true;
-    }
-    for (const auto& [name, value] : snap.counters) {
-      auto it = registry_baseline_.counters.find(name);
-      const uint64_t prior =
-          it == registry_baseline_.counters.end() ? 0 : it->second;
-      PushPointLocked(name, "counter", /*sum_on_merge=*/true, now,
-                      value >= prior ? static_cast<double>(value - prior)
-                                     : 0.0);
-    }
-    registry_baseline_ = std::move(snap);
+  if (!have_baseline_) {
+    // First tick after Reset (or a never-started sampler): prime the
+    // baseline so this tick records zero deltas instead of
+    // since-process-start totals.
+    registry_baseline_ = snap;
+    have_baseline_ = true;
   }
+  for (const auto& [name, value] : snap.counters) {
+    auto it = registry_baseline_.counters.find(name);
+    const uint64_t prior =
+        it == registry_baseline_.counters.end() ? 0 : it->second;
+    PushPointLocked(name, "counter", /*sum_on_merge=*/true, now,
+                    value >= prior ? static_cast<double>(value - prior) : 0.0);
+  }
+  registry_baseline_ = std::move(snap);
   for (Probe& probe : probes_) {
     const double value = probe.fn ? probe.fn() : 0.0;
     if (probe.kind == ProbeKind::kGauge) {

@@ -83,9 +83,6 @@ struct SamplerOptions {
   int64_t interval_ns = 10 * 1000 * 1000;
   // Points retained per series (ring overwrites the oldest beyond this).
   size_t ring_capacity = 4096;
-  // Scrape MetricsRegistry::Global() counters (as deltas) / gauges.
-  bool sample_counters = true;
-  bool sample_gauges = true;
   // What happens when a ring fills. Default (false): overwrite the oldest
   // point, keeping the newest `ring_capacity` — right for the recovery
   // timeline, which only cares about the recent window. True: halve the

@@ -9,7 +9,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 #include "obs/profiler.h"
-#include "obs/resource/resource_accountant.h"
 
 namespace arthas {
 
@@ -78,12 +77,6 @@ struct PmemPool::PoolHeader {
   uint32_t pad;
 };
 
-// Kept only as an opaque tag for the legacy BlockAt helpers (unused by the
-// buddy design); declared to satisfy the header's friend declarations.
-struct PmemPool::BlockHeader {
-  uint64_t unused;
-};
-
 // Persistent descriptor of one extra undo slot, in the table at the top of
 // the undo region. `magic_active` holds kTxSlotActiveMagic while the slot's
 // transaction is in flight, 0 (or stale payload bytes) otherwise.
@@ -102,7 +95,11 @@ struct UndoEntryHeader {
 }  // namespace
 
 PmemPool::PmemPool(std::unique_ptr<PmemDevice> device, std::string layout)
-    : device_(std::move(device)), layout_(std::move(layout)) {}
+    : device_(std::move(device)), layout_(std::move(layout)) {
+  used_source_ = obs::ResourceAccountant::Global().Register(
+      "pmem.pool.used.bytes", "bytes",
+      [this] { return static_cast<int64_t>(stats_.used_bytes.load()); });
+}
 
 PmemPool::~PmemPool() = default;
 
@@ -113,19 +110,12 @@ const PmemPool::PoolHeader* PmemPool::header() const {
   return reinterpret_cast<const PoolHeader*>(device_->Live(0));
 }
 
-PmemPool::BlockHeader* PmemPool::BlockAt(PmOffset) { return nullptr; }
-const PmemPool::BlockHeader* PmemPool::BlockAt(PmOffset) const {
-  return nullptr;
-}
-
 void PmemPool::PersistHeader() {
   PoolHeader* h = header();
   h->crc = 0;
   h->crc = Crc32c(h, sizeof(PoolHeader));
   device_->PersistQuiet(0, sizeof(PoolHeader));
 }
-
-void PmemPool::PersistBlockHeader(PmOffset) {}
 
 // --- Undo-slot layout helpers -------------------------------------------------
 
@@ -282,7 +272,6 @@ Status PmemPool::Recover() {
   PoolHeader* h = header();
   stats_.used_bytes = h->used_bytes;
   stats_.live_objects = h->live_objects;
-  ARTHAS_RESOURCE_SET("pmem.pool.used.bytes", "bytes", h->used_bytes);
   if (h->tx_active != 0) {
     // Crash happened inside a transaction: apply the undo log.
     ARTHAS_LOG(Info) << "pool recovery: rolling back in-flight transaction ("
@@ -379,8 +368,6 @@ Result<Oid> PmemPool::AllocInternal(size_t size, bool zero) {
   stats_.live_objects = h->live_objects;
   ARTHAS_COUNTER_ADD("pool.alloc.count", 1);
   ARTHAS_GAUGE_SET("pool.live.objects", h->live_objects);
-  // Capacity plane: mirror cell (one live pool per system in every bench).
-  ARTHAS_RESOURCE_SET("pmem.pool.used.bytes", "bytes", h->used_bytes);
 
   const PmOffset payload = NodeOffset(node, static_cast<size_t>(order));
   if (zero) {
@@ -461,7 +448,6 @@ Status PmemPool::FreeLocked(Oid oid) {
   stats_.live_objects = h->live_objects;
   ARTHAS_COUNTER_ADD("pool.free.count", 1);
   ARTHAS_GAUGE_SET("pool.live.objects", h->live_objects);
-  ARTHAS_RESOURCE_SET("pmem.pool.used.bytes", "bytes", h->used_bytes);
   ARTHAS_FLIGHT_RECORD(obs::FrType::kFree, device_->device_id(), oid.off,
                        block, 0);
   for (PoolObserver* obs : observers_) {
@@ -837,8 +823,6 @@ size_t PmemPool::FreeBytes() const {
   const uint64_t heap = 1ULL << h->heap_order;
   return h->used_bytes >= heap ? 0 : heap - h->used_bytes;
 }
-
-void PmemPool::CoalesceFreeBlocks() {}  // buddy merging happens on free
 
 void PmemPool::AddObserver(PoolObserver* observer) {
   observers_.push_back(observer);

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/resource/resource_accountant.h"
 #include "pmem/device.h"
 
 namespace arthas {
@@ -218,10 +219,10 @@ class PmemPool {
   Status CheckIntegrity() const;
 
   // Byte ranges within [offset, offset+size) that are allocator metadata
-  // (block headers) under the *current* heap layout. External reversion
-  // tooling restores payload bytes around these so it never corrupts the
-  // heap structure (PMDK keeps its metadata out-of-band; our boundary tags
-  // are inline, so the checkpoint restore must skip them).
+  // (pool header, undo log, buddy state array). All of it lives below the
+  // object heap (out-of-band, as in PMDK), so this is at most the part of
+  // the range below heap_base. External reversion tooling restores payload
+  // bytes around these so it never corrupts the heap structure.
   std::vector<std::pair<PmOffset, size_t>> MetadataRangesIn(PmOffset offset,
                                                             size_t size) const;
 
@@ -243,15 +244,10 @@ class PmemPool {
   Status Format(size_t size);
   Status Recover();
   struct PoolHeader;
-  struct BlockHeader;
   struct TxSlotDescriptor;
   PoolHeader* header();
   const PoolHeader* header() const;
-  BlockHeader* BlockAt(PmOffset offset);
-  const BlockHeader* BlockAt(PmOffset offset) const;
   void PersistHeader();
-  void PersistBlockHeader(PmOffset offset);
-  void CoalesceFreeBlocks();
   Result<Oid> AllocInternal(size_t size, bool zero);
   Status FreeLocked(Oid oid);
   Result<size_t> UsableSizeLocked(Oid oid) const;
@@ -289,6 +285,9 @@ class PmemPool {
   // for slot 0, TxSlotDescriptors for the rest).
   bool slot_busy_[kMaxConcurrentTx] = {};
   TxContext default_tx_;  // backs the context-free single-threaded API
+  // `pmem.pool.used.bytes` capacity cell over stats_.used_bytes. Declared
+  // last so it unregisters before the stats it reads die.
+  obs::ResourceSource used_source_;
 };
 
 }  // namespace arthas

@@ -6,7 +6,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
-#include "obs/resource/resource_accountant.h"
 
 namespace arthas {
 
@@ -31,6 +30,9 @@ uint64_t AlignUp8(uint64_t v) { return (v + 7) & ~7ULL; }
 FaseSubstrate::FaseSubstrate(FaseConfig config)
     : config_(config),
       instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)) {
+  log_source_ = obs::ResourceAccountant::Global().Register(
+      "substrate.section.log.bytes", "bytes",
+      [this] { return static_cast<int64_t>(log_tail()); });
 }
 
 FaseSubstrate::~FaseSubstrate() { Detach(); }
@@ -205,9 +207,6 @@ bool FaseSubstrate::AppendLocked(RecordKind kind, uint64_t section_id,
   header.tail += need;
   std::memcpy(log_device_->Live(0), &header, sizeof(header));
   log_device_->PersistQuiet(0, sizeof(header));
-  // Capacity plane: the section log's durable footprint (mirror cells —
-  // last writer wins; one substrate owns the log in every driver).
-  ARTHAS_RESOURCE_SET("substrate.section.log.bytes", "bytes", header.tail);
   return true;
 }
 
@@ -216,7 +215,6 @@ void FaseSubstrate::ResetLogLocked() {
   std::memcpy(log_device_->Live(0), &header, sizeof(header));
   log_device_->PersistQuiet(0, sizeof(header));
   log_resets_.fetch_add(1, std::memory_order_relaxed);
-  ARTHAS_RESOURCE_SET("substrate.section.log.bytes", "bytes", header.tail);
 }
 
 void FaseSubstrate::RestoreAroundMetadata(PmOffset target_off,

@@ -55,6 +55,7 @@
 #include <mutex>
 #include <unordered_set>
 
+#include "obs/resource/resource_accountant.h"
 #include "pmem/device.h"
 #include "pmem/pool.h"
 #include "substrate/substrate.h"
@@ -166,6 +167,11 @@ class FaseSubstrate : public ConsistencySubstrate,
   std::atomic<uint64_t> log_overflows_{0};
   std::atomic<uint64_t> tx_begins_{0};
   std::atomic<uint64_t> tx_commits_{0};
+  // `substrate.section.log.bytes` capacity cell over log_tail(), which
+  // takes log_mutex_ under the accountant's mutex (see
+  // obs/resource/resource_accountant.h for the lock order). Declared last
+  // so it unregisters before the log and mutex it reads die.
+  obs::ResourceSource log_source_;
 };
 
 }  // namespace arthas

@@ -390,7 +390,8 @@ TEST(NetServerTest, CapacityOverSocket) {
   // Give the capacity plane something to report: a budgeted cell plus a
   // long sampler series the analyzer can classify.
   obs::ResourceAccountant& accountant = obs::ResourceAccountant::Global();
-  accountant.GetCell("test.socket.cell", "bytes").Set(512);
+  const obs::ResourceSource source = accountant.Register(
+      "test.socket.cell", "bytes", [] { return int64_t{512}; });
   accountant.SetBudget("test.socket.cell", 1 << 20);
 
   TestClient client(server.port());
@@ -429,7 +430,6 @@ TEST(NetServerTest, CapacityOverSocket) {
   EXPECT_TRUE(narrowed->verdicts.empty());
 
   server.Stop();
-  accountant.GetCell("test.socket.cell").Set(0);
 }
 
 TEST(NetServerTest, CapacityWireRoundTrip) {
@@ -729,19 +729,23 @@ TEST(NetServerTest, OutbufAndQueueDepthProbesSampled) {
   ASSERT_TRUE(client.Send("SET user1 hello\nGET user1\n"));
   ASSERT_EQ(client.ReadReplies(2).size(), 2u);
 
-  // The server registers both gauges as sampler probes while it runs; a
-  // manual sweep must produce one finite point per series. In a disabled
-  // build the probe macros compile out, so the series must stay absent.
+  // Pending reply bytes are the `net.outbuf.bytes` capacity cell, which
+  // the server registers in both builds; queue depth is a sampler probe
+  // whose macro compiles out in a disabled build. A manual sweep must
+  // produce one finite point per published series.
   obs::TelemetrySampler& sampler = obs::TelemetrySampler::Global();
+  obs::ResourceAccountant& accountant = obs::ResourceAccountant::Global();
+  const std::vector<obs::ProbeId> ids =
+      accountant.RegisterSamplerProbes(sampler);
   sampler.SampleNow();
-  const auto outbuf = sampler.SeriesPoints("net.conn.outbuf_bytes");
+  obs::ResourceAccountant::UnregisterSamplerProbes(sampler, ids);
+  const auto outbuf = sampler.SeriesPoints("resource.net.outbuf.bytes");
   const auto depth = sampler.SeriesPoints("net.loop.queue_depth");
-#ifdef ARTHAS_OBS_DISABLED
-  EXPECT_TRUE(outbuf.empty());
-  EXPECT_TRUE(depth.empty());
-#else
   ASSERT_FALSE(outbuf.empty());
   EXPECT_GE(outbuf.back().value, 0.0);
+#ifdef ARTHAS_OBS_DISABLED
+  EXPECT_TRUE(depth.empty());
+#else
   ASSERT_FALSE(depth.empty());
   EXPECT_GE(depth.back().value, 0.0);
 #endif

@@ -90,10 +90,6 @@ TEST(ObsDisabledTest, SamplerStaysUsableDirectly) {
   // Like the registry, the sampler class itself still works in a disabled
   // TU; only the ARTHAS_TELEMETRY_* / ARTHAS_TIMELINE_MARK macros vanish.
   obs::TelemetrySampler sampler;
-  obs::SamplerOptions options;
-  options.sample_counters = false;
-  options.sample_gauges = false;
-  sampler.Configure(options);
   const obs::ProbeId id = sampler.RegisterProbe(
       "direct.probe", obs::ProbeKind::kGauge, [] { return 42.0; });
   EXPECT_NE(id, obs::kNoProbe);

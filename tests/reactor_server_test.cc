@@ -288,8 +288,6 @@ TEST(ReactorServerTest, StatsAndHealthServeWhileWorkloadRuns) {
   sampler.Reset();
   obs::SamplerOptions options;
   options.interval_ns = 100 * 1000;  // 100 us: many ticks inside the run
-  options.sample_counters = false;
-  options.sample_gauges = false;
   sampler.Configure(options);
   ASSERT_TRUE(sampler.Start());
 

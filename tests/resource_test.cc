@@ -1,12 +1,14 @@
-// Tests for the capacity plane (src/obs/resource): byte-exact accounting
-// cells, the PayloadArena round-trip guarantee (Store/Release returns the
-// cells to their starting values — the property the whole accountant is
-// built on), multi-threaded churn (the TSan job runs this binary),
+// Tests for the capacity plane (src/obs/resource): cells summed over their
+// owners' registered sources, the PayloadArena round-trip guarantee
+// (Store/Release returns the cells to their starting values), snapshots
+// racing owners and multi-threaded churn (the TSan job runs this binary),
 // growth-trend classification, SLO burn-rate tracking with synthetic
 // clocks, and the Histogram::CountAbove primitive the SLO math rests on.
 
 #include <atomic>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,67 +34,89 @@ using obs::Histogram;
 using obs::MetricsRegistry;
 using obs::ProbeKind;
 using obs::ResourceAccountant;
-using obs::ResourceCell;
 using obs::ResourceCellSnapshot;
+using obs::ResourceSource;
 using obs::SloTarget;
 using obs::SloTracker;
 using obs::TelemetrySampler;
 using obs::TimelinePoint;
 
 int64_t CellValue(const std::string& name) {
-  return ResourceAccountant::Global().GetCell(name).value();
+  return ResourceAccountant::Global().Value(name);
 }
 
-// Under ARTHAS_OBS_DISABLED the ARTHAS_RESOURCE_ADD call sites compile
-// out, so the global cells never move; the arena's own live_bytes() /
-// freelist_bytes() counters are plain members and stay exact either way.
-// Expected cell deltas therefore collapse to zero in the obs-off build.
-#ifdef ARTHAS_OBS_DISABLED
-constexpr bool kCellsMirror = false;
-#else
-constexpr bool kCellsMirror = true;
-#endif
-
-int64_t CellDelta(int64_t delta) { return kCellsMirror ? delta : 0; }
-
-TEST(ResourceAccountantTest, CellAddSetBudgetAndSnapshot) {
+TEST(ResourceAccountantTest, CellSumsItsLiveSources) {
   ResourceAccountant& accountant = ResourceAccountant::Global();
-  ResourceCell& cell = accountant.GetCell("test.cell.alpha", "bytes");
-  const int64_t start = cell.value();
-  cell.Add(128);
-  cell.Add(-28);
-  EXPECT_EQ(cell.value(), start + 100);
-  cell.Set(4096);
-  EXPECT_EQ(cell.value(), 4096);
+  EXPECT_FALSE(accountant.Has("test.cell.alpha"));
+  std::atomic<int64_t> a{100};
+  std::atomic<int64_t> b{28};
+  ResourceSource first = accountant.Register(
+      "test.cell.alpha", "bytes", [&a] { return a.load(); });
   EXPECT_TRUE(accountant.Has("test.cell.alpha"));
-  EXPECT_FALSE(accountant.Has("test.cell.never-created"));
+  EXPECT_EQ(accountant.Value("test.cell.alpha"), 100);
+  {
+    ResourceSource second = accountant.Register(
+        "test.cell.alpha", "count", [&b] { return b.load(); });
+    EXPECT_EQ(accountant.Value("test.cell.alpha"), 128);
+    b.store(4000);  // read when the accountant is read, not pushed
+    EXPECT_EQ(accountant.Value("test.cell.alpha"), 4100);
+  }
+  // A destroyed source's bytes leave the cell.
+  EXPECT_EQ(accountant.Value("test.cell.alpha"), 100);
+
+  // Moving the handle moves the registration; resetting the moved-from
+  // handle is a no-op.
+  ResourceSource moved = std::move(first);
+  first.Reset();
+  EXPECT_EQ(accountant.Value("test.cell.alpha"), 100);
 
   accountant.SetBudget("test.cell.alpha", 1 << 20);
   bool found = false;
   for (const ResourceCellSnapshot& snap : accountant.Snapshot()) {
     if (snap.name == "test.cell.alpha") {
       found = true;
-      EXPECT_EQ(snap.unit, "bytes");
-      EXPECT_EQ(snap.value, 4096);
+      EXPECT_EQ(snap.unit, "bytes");  // the first registration's unit
+      EXPECT_EQ(snap.value, 100);
       EXPECT_EQ(snap.budget, 1 << 20);
     }
   }
   EXPECT_TRUE(found);
-  cell.Set(0);
+
+  // A cell with no source reads 0 and keeps its name.
+  moved.Reset();
+  EXPECT_EQ(accountant.Value("test.cell.alpha"), 0);
+  EXPECT_TRUE(accountant.Has("test.cell.alpha"));
+  accountant.SetBudget("test.cell.budget.only", 4096);
+  EXPECT_TRUE(accountant.Has("test.cell.budget.only"));
+  EXPECT_EQ(accountant.Value("test.cell.budget.only"), 0);
+  EXPECT_EQ(accountant.Value("test.cell.never-created"), 0);
+  EXPECT_FALSE(accountant.Has("test.cell.never-created"));
 }
 
-TEST(ResourceAccountantTest, DisabledCellsIgnoreUpdates) {
+TEST(ResourceAccountantTest, DisabledAccountantReadsNoSource) {
   ResourceAccountant& accountant = ResourceAccountant::Global();
-  ResourceCell& cell = accountant.GetCell("test.cell.toggle", "bytes");
-  cell.Set(7);
+  std::atomic<int> reads{0};
+  ResourceSource source =
+      accountant.Register("test.cell.toggle", "bytes", [&reads] {
+        reads.fetch_add(1);
+        return int64_t{7};
+      });
   accountant.set_enabled(false);
-  cell.Add(100);
-  cell.Set(9999);
-  EXPECT_EQ(cell.value(), 7);  // values persist, updates are ignored
+  EXPECT_EQ(accountant.Value("test.cell.toggle"), 0);
+  bool found = false;
+  for (const ResourceCellSnapshot& snap : accountant.Snapshot(false)) {
+    if (snap.name == "test.cell.toggle") {
+      found = true;
+      EXPECT_EQ(snap.value, 0);
+    }
+  }
+  EXPECT_TRUE(found);
+  EXPECT_EQ(accountant.SnapshotJson().Get("enabled")->AsBool(), false);
+  EXPECT_EQ(reads.load(), 0);  // publication off: no source ran
+
   accountant.set_enabled(true);
-  cell.Add(3);
-  EXPECT_EQ(cell.value(), 10);
-  cell.Set(0);
+  EXPECT_EQ(accountant.Value("test.cell.toggle"), 7);
+  EXPECT_EQ(reads.load(), 1);
 }
 
 TEST(ResourceAccountantTest, ProcessProbesReadProcSelf) {
@@ -109,35 +133,25 @@ TEST(ResourceAccountantTest, ProcessProbesReadProcSelf) {
 
 TEST(ResourceAccountantTest, SamplerProbesPublishResourceSeries) {
   ResourceAccountant& accountant = ResourceAccountant::Global();
-  ResourceCell& cell = accountant.GetCell("test.cell.probed", "bytes");
-  cell.Set(12345);
+  std::atomic<int64_t> level{12345};
+  ResourceSource source = accountant.Register(
+      "test.cell.probed", "bytes", [&level] { return level.load(); });
 
-  obs::SamplerOptions options;
-  options.sample_counters = false;
-  options.sample_gauges = false;
-  TelemetrySampler sampler(options);  // never started, ticked by hand
+  TelemetrySampler sampler;  // never started, ticked by hand
   const auto ids = accountant.RegisterSamplerProbes(sampler);
   ASSERT_GE(ids.size(), 3u);  // the cells plus the two process probes
   sampler.SampleNow();
+  level.store(23456);
+  sampler.SampleNow();
 
-  bool saw_cell = false;
-  bool saw_rss = false;
-  for (const obs::SeriesSnapshot& series : sampler.SnapshotSeries()) {
-    if (series.name == "resource.test.cell.probed") {
-      saw_cell = true;
-      ASSERT_FALSE(series.points.empty());
-      EXPECT_EQ(series.points.back().value, 12345);
-    }
-    if (series.name == "process.rss.bytes") {
-      saw_rss = true;
-      ASSERT_FALSE(series.points.empty());
-      EXPECT_GT(series.points.back().value, 0);
-    }
-  }
-  EXPECT_TRUE(saw_cell);
-  EXPECT_TRUE(saw_rss);
+  const auto cell = sampler.SeriesPoints("resource.test.cell.probed");
+  ASSERT_EQ(cell.size(), 2u);
+  EXPECT_EQ(cell[0].value, 12345);
+  EXPECT_EQ(cell[1].value, 23456);  // each tick reads the source
+  const auto rss = sampler.SeriesPoints("process.rss.bytes");
+  ASSERT_FALSE(rss.empty());
+  EXPECT_GT(rss.back().value, 0);
   ResourceAccountant::UnregisterSamplerProbes(sampler, ids);
-  cell.Set(0);
 }
 
 // --- PayloadArena accounting --------------------------------------------
@@ -157,8 +171,8 @@ TEST(PayloadArenaAccountingTest, StoreReleaseRoundTripReturnsCells) {
   }
   EXPECT_EQ(arena.live_bytes(), footprint);
   EXPECT_EQ(CellValue("checkpoint.arena.live.bytes"),
-            live0 + CellDelta(static_cast<int64_t>(footprint)));
-  EXPECT_GE(CellValue("checkpoint.arena.bytes"), chunk0 + CellDelta(64 * 1024));
+            live0 + static_cast<int64_t>(footprint));
+  EXPECT_GE(CellValue("checkpoint.arena.bytes"), chunk0 + 64 * 1024);
 
   for (const PayloadRef& ref : refs) {
     arena.Release(ref);
@@ -168,7 +182,7 @@ TEST(PayloadArenaAccountingTest, StoreReleaseRoundTripReturnsCells) {
   EXPECT_EQ(arena.freelist_bytes(), footprint);
   EXPECT_EQ(CellValue("checkpoint.arena.live.bytes"), live0);
   EXPECT_EQ(CellValue("checkpoint.arena.freelist.bytes"),
-            free0 + CellDelta(static_cast<int64_t>(footprint)));
+            free0 + static_cast<int64_t>(footprint));
 
   // Recycling: the next Store reuses a freelist span, no new chunk.
   const int64_t chunks_before = CellValue("checkpoint.arena.bytes");
@@ -178,22 +192,20 @@ TEST(PayloadArenaAccountingTest, StoreReleaseRoundTripReturnsCells) {
   arena.Release(again);
 
   arena.Clear();
-  // Clear unwinds everything this arena ever accounted.
+  // Clear drops every chunk, and the arena's share of the cells with it.
   EXPECT_EQ(CellValue("checkpoint.arena.bytes"), chunk0);
   EXPECT_EQ(CellValue("checkpoint.arena.live.bytes"), live0);
   EXPECT_EQ(CellValue("checkpoint.arena.freelist.bytes"), free0);
 }
 
-TEST(PayloadArenaAccountingTest, DestructorUnwindsLikeClear) {
+TEST(PayloadArenaAccountingTest, DestroyedArenaLeavesTheCells) {
   const int64_t chunk0 = CellValue("checkpoint.arena.bytes");
   const int64_t live0 = CellValue("checkpoint.arena.live.bytes");
   {
     PayloadArena arena;
     std::vector<uint8_t> payload(1000, 0x55);
     (void)arena.Store(payload.data(), payload.size());
-    if (kCellsMirror) {
-      EXPECT_GT(CellValue("checkpoint.arena.live.bytes"), live0);
-    }
+    EXPECT_GT(CellValue("checkpoint.arena.live.bytes"), live0);
   }
   EXPECT_EQ(CellValue("checkpoint.arena.bytes"), chunk0);
   EXPECT_EQ(CellValue("checkpoint.arena.live.bytes"), live0);
@@ -206,7 +218,7 @@ TEST(PayloadArenaAccountingTest, LargeSpansAccountExactBytes) {
   std::vector<uint8_t> big(100 * 1024, 0x77);
   (void)arena.Store(big.data(), big.size());
   EXPECT_EQ(CellValue("checkpoint.arena.live.bytes"),
-            live0 + CellDelta(static_cast<int64_t>(big.size())));
+            live0 + static_cast<int64_t>(big.size()));
   arena.Clear();
   EXPECT_EQ(CellValue("checkpoint.arena.live.bytes"), live0);
 }
@@ -217,7 +229,7 @@ TEST(PayloadArenaAccountingTest, FourThreadChurnBalancesToZero) {
   const int64_t free0 = CellValue("checkpoint.arena.freelist.bytes");
 
   // Private arenas (CheckpointLog shards own theirs the same way), shared
-  // global cells: the churn exercises the relaxed-atomic Add discipline.
+  // global cells: each arena's source reads its own counters.
   auto churn = [] {
     PayloadArena arena;
     std::vector<uint8_t> payload(200, 0x42);
@@ -245,52 +257,181 @@ TEST(PayloadArenaAccountingTest, FourThreadChurnBalancesToZero) {
 
 // --- Capacity cells published by their owners ---------------------------
 
-// The retained-version count, the pool's used bytes and the FASE section-log
-// tail are published only as capacity cells (last writer wins); each cell
-// must equal its owner's own count after every update.
+// Every cell is the sum of its live owners' own counts; the baselines
+// cover owners other tests in this binary may still hold (none today).
 TEST(ResourceCellPublicationTest, CellsTrackTheirOwners) {
   const int64_t versions0 = CellValue("checkpoint.retained.versions");
   const int64_t used0 = CellValue("pmem.pool.used.bytes");
   const int64_t log0 = CellValue("substrate.section.log.bytes");
-  auto mirrored = [](int64_t value, int64_t start) {
-    return kCellsMirror ? value : start;
-  };
+  {
+    auto pool = *PmemPool::Create("cells", 256 * 1024);
+    CheckpointLog log(*pool);
+    const Oid keep = *pool->Zalloc(256);
+    const Oid gone = *pool->Zalloc(512);
+    for (int i = 0; i < 5; i++) {
+      pool->Direct<uint8_t>(keep)[0] = static_cast<uint8_t>(i);
+      pool->Persist(keep, 0, 64);
+    }
+    auto used = [&pool] {
+      return static_cast<int64_t>(pool->stats().used_bytes.load());
+    };
+    EXPECT_GT(log.retained_versions(), 0u);
+    EXPECT_EQ(CellValue("checkpoint.retained.versions"),
+              versions0 + static_cast<int64_t>(log.retained_versions()));
+    EXPECT_EQ(CellValue("pmem.pool.used.bytes"), used0 + used());
+    ASSERT_TRUE(pool->Free(gone).ok());
+    EXPECT_EQ(CellValue("pmem.pool.used.bytes"), used0 + used());
 
-  auto pool = *PmemPool::Create("cells", 256 * 1024);
-  CheckpointLog log(*pool);
-  const Oid keep = *pool->Zalloc(256);
-  const Oid gone = *pool->Zalloc(512);
-  for (int i = 0; i < 5; i++) {
-    pool->Direct<uint8_t>(keep)[0] = static_cast<uint8_t>(i);
-    pool->Persist(keep, 0, 64);
+    auto fase_pool = *PmemPool::Create("cells.fase", 256 * 1024);
+    FaseSubstrate fase;
+    ASSERT_TRUE(fase.Attach(*fase_pool).ok());
+    // The fresh log header counts from Attach on, before any section.
+    EXPECT_EQ(fase.log_tail(), 64u);
+    EXPECT_EQ(CellValue("substrate.section.log.bytes"), log0 + 64);
+    const Oid oid = *fase_pool->Zalloc(256);
+    const uint64_t section = fase.NextSectionId();
+    fase.SectionBegin(section);
+    std::memset(fase_pool->Direct<uint8_t>(oid), 0x5A, 64);
+    fase_pool->Persist(oid, 0, 64);
+    const size_t open_tail = fase.log_tail();
+    EXPECT_EQ(CellValue("substrate.section.log.bytes"),
+              log0 + static_cast<int64_t>(open_tail));
+    fase.SectionEnd(section);
+    EXPECT_LT(fase.log_tail(), open_tail);  // pruned at commit
+    EXPECT_EQ(CellValue("substrate.section.log.bytes"),
+              log0 + static_cast<int64_t>(fase.log_tail()));
+    EXPECT_EQ(
+        CellValue("pmem.pool.used.bytes"),
+        used0 + used() +
+            static_cast<int64_t>(fase_pool->stats().used_bytes.load()));
+    fase.Detach();
   }
-  EXPECT_GT(log.retained_versions(), 0u);
-  EXPECT_EQ(CellValue("checkpoint.retained.versions"),
-            mirrored(static_cast<int64_t>(log.retained_versions()), versions0));
-  EXPECT_EQ(CellValue("pmem.pool.used.bytes"),
-            mirrored(static_cast<int64_t>(pool->stats().used_bytes.load()),
-                     used0));
-  ASSERT_TRUE(pool->Free(gone).ok());
-  EXPECT_EQ(CellValue("pmem.pool.used.bytes"),
-            mirrored(static_cast<int64_t>(pool->stats().used_bytes.load()),
-                     used0));
+  // The owners are gone, and their bytes with them.
+  EXPECT_EQ(CellValue("checkpoint.retained.versions"), versions0);
+  EXPECT_EQ(CellValue("pmem.pool.used.bytes"), used0);
+  EXPECT_EQ(CellValue("substrate.section.log.bytes"), log0);
+}
 
-  auto fase_pool = *PmemPool::Create("cells.fase", 256 * 1024);
-  FaseSubstrate fase;
-  ASSERT_TRUE(fase.Attach(*fase_pool).ok());
-  const Oid oid = *fase_pool->Zalloc(256);
-  const uint64_t section = fase.NextSectionId();
-  fase.SectionBegin(section);
-  std::memset(fase_pool->Direct<uint8_t>(oid), 0x5A, 64);
-  fase_pool->Persist(oid, 0, 64);
-  const size_t open_tail = fase.log_tail();
-  EXPECT_EQ(CellValue("substrate.section.log.bytes"),
-            mirrored(static_cast<int64_t>(open_tail), log0));
-  fase.SectionEnd(section);
-  EXPECT_LT(fase.log_tail(), open_tail);  // pruned at commit
-  EXPECT_EQ(CellValue("substrate.section.log.bytes"),
-            mirrored(static_cast<int64_t>(fase.log_tail()), log0));
-  fase.Detach();
+TEST(ResourceCellPublicationTest, LivePoolsSumAndDestroyedPoolsLeave) {
+  const int64_t used0 = CellValue("pmem.pool.used.bytes");
+  auto a = *PmemPool::Create("sum.a", 256 * 1024);
+  auto b = *PmemPool::Create("sum.b", 256 * 1024);
+  ASSERT_TRUE(a->Zalloc(1000).ok());
+  ASSERT_TRUE(b->Zalloc(300).ok());
+  const int64_t a_used = static_cast<int64_t>(a->stats().used_bytes.load());
+  const int64_t b_used = static_cast<int64_t>(b->stats().used_bytes.load());
+  EXPECT_GT(a_used, 0);
+  EXPECT_GT(b_used, 0);
+  EXPECT_EQ(CellValue("pmem.pool.used.bytes"), used0 + a_used + b_used);
+  a.reset();
+  EXPECT_EQ(CellValue("pmem.pool.used.bytes"), used0 + b_used);
+  b.reset();
+  EXPECT_EQ(CellValue("pmem.pool.used.bytes"), used0);
+}
+
+// Snapshots race owners that persist, churn arenas, and are built and
+// destroyed (the TSan job runs this binary). Once the threads are joined
+// every cell equals its baseline plus the sum over the owners still alive.
+TEST(ResourceCellPublicationTest, SnapshotsRacingOwnersSettleOnLiveSum) {
+  ResourceAccountant& accountant = ResourceAccountant::Global();
+  const char* const kCells[] = {
+      "checkpoint.arena.bytes",       "checkpoint.arena.live.bytes",
+      "checkpoint.arena.freelist.bytes", "checkpoint.index.bytes",
+      "checkpoint.retained.versions", "pmem.pool.used.bytes"};
+  std::map<std::string, int64_t> base;
+  for (const char* name : kCells) {
+    base[name] = CellValue(name);
+  }
+
+  struct Owners {
+    std::unique_ptr<PmemPool> pool;
+    std::unique_ptr<CheckpointLog> log;
+    std::unique_ptr<PayloadArena> arena;
+  };
+  constexpr int kThreads = 4;
+  std::vector<Owners> owners(kThreads);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> snapshots{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      (void)accountant.Snapshot(/*include_process=*/false);
+      snapshots.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; t++) {
+    workers.emplace_back([&owners, t] {
+      Owners& mine = owners[t];
+      mine.pool = *PmemPool::Create("race." + std::to_string(t), 256 * 1024);
+      mine.log = std::make_unique<CheckpointLog>(*mine.pool);
+      mine.arena = std::make_unique<PayloadArena>();
+      const Oid oid = *mine.pool->Zalloc(128);
+      std::vector<uint8_t> payload(200, 0x42);
+      for (int round = 0; round < 100; round++) {
+        mine.pool->Direct<uint8_t>(oid)[round % 128] =
+            static_cast<uint8_t>(round);
+        mine.pool->Persist(oid, 0, 128);
+        const PayloadRef ref = mine.arena->Store(payload.data(), 200);
+        if (round % 3 != 0) {
+          mine.arena->Release(ref);
+        }
+        auto scratch = *PmemPool::Create("race.scratch", 64 * 1024);
+        (void)scratch->Zalloc(64);
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_GT(snapshots.load(), 0u);
+
+  // Baseline plus the live owners' own counts. The logs' arenas hold
+  // spans this test cannot count one by one, so the live/freelist cells
+  // are checked once the logs are gone.
+  auto expect_live_sum = [&](bool logs_alive) {
+    std::map<std::string, int64_t> want = base;
+    for (const Owners& o : owners) {
+      if (o.pool != nullptr) {
+        want["pmem.pool.used.bytes"] += o.pool->stats().used_bytes.load();
+      }
+      if (o.log != nullptr) {
+        want["checkpoint.arena.bytes"] += o.log->arena_bytes();
+        want["checkpoint.index.bytes"] += o.log->index_bytes();
+        want["checkpoint.retained.versions"] += o.log->retained_versions();
+      }
+      if (o.arena != nullptr) {
+        want["checkpoint.arena.bytes"] += o.arena->allocated_bytes();
+        want["checkpoint.arena.live.bytes"] += o.arena->live_bytes();
+        want["checkpoint.arena.freelist.bytes"] += o.arena->freelist_bytes();
+      }
+    }
+    for (const char* name : kCells) {
+      const std::string cell = name;
+      if (logs_alive && (cell == "checkpoint.arena.live.bytes" ||
+                         cell == "checkpoint.arena.freelist.bytes")) {
+        continue;
+      }
+      EXPECT_EQ(CellValue(cell), want[cell]) << cell;
+    }
+  };
+  expect_live_sum(/*logs_alive=*/true);
+  for (Owners& o : owners) {
+    o.log.reset();
+  }
+  expect_live_sum(false);
+  for (Owners& o : owners) {
+    o.pool.reset();
+  }
+  expect_live_sum(false);
+  for (Owners& o : owners) {
+    o.arena.reset();
+  }
+  expect_live_sum(false);
+  for (const char* name : kCells) {
+    EXPECT_EQ(CellValue(name), base[name]) << name;
+  }
 }
 
 // --- Histogram::CountAbove ----------------------------------------------
@@ -415,10 +556,7 @@ TEST(GrowthAnalyzerTest, ClassTokensRoundTrip) {
 }
 
 TEST(GrowthAnalyzerTest, AnalyzeSamplerSkipsCountersAndJoinsBudgets) {
-  obs::SamplerOptions options;
-  options.sample_counters = false;
-  options.sample_gauges = false;
-  TelemetrySampler sampler(options);
+  TelemetrySampler sampler;
   std::atomic<double> level{0};
   sampler.RegisterProbe("resource.test.analyzed", ProbeKind::kGauge,
                         [&level] { return level.load(); });

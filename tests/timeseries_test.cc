@@ -27,18 +27,10 @@ using obs::TimelineMarker;
 using obs::TimelinePoint;
 using obs::TimelineReport;
 
-// A sampler that only sees its registered probes (no registry scrape), so
-// tests control every recorded point.
-SamplerOptions ProbeOnlyOptions(size_t ring_capacity = 4096) {
-  SamplerOptions options;
-  options.sample_counters = false;
-  options.sample_gauges = false;
-  options.ring_capacity = ring_capacity;
-  return options;
-}
-
 TEST(TelemetrySamplerTest, RingWraparoundKeepsNewestN) {
-  TelemetrySampler sampler(ProbeOnlyOptions(/*ring_capacity=*/8));
+  SamplerOptions options;
+  options.ring_capacity = 8;
+  TelemetrySampler sampler(options);
   double next = 0;
   sampler.RegisterProbe("t.series", ProbeKind::kGauge,
                         [&next] { return next; });
@@ -56,15 +48,15 @@ TEST(TelemetrySamplerTest, RingWraparoundKeepsNewestN) {
   for (size_t i = 1; i < points.size(); i++) {
     EXPECT_GE(points[i].t_ns, points[i - 1].t_ns);
   }
-  const std::vector<SeriesSnapshot> all = sampler.SnapshotSeries();
+  const std::vector<SeriesSnapshot> all = sampler.Tail(8, "t.series");
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].total_points, 20u);
   EXPECT_EQ(all[0].kind, "probe");
 }
 
 TEST(TelemetrySamplerTest, StartStopIdempotence) {
-  TelemetrySampler sampler(ProbeOnlyOptions());
-  SamplerOptions options = ProbeOnlyOptions();
+  TelemetrySampler sampler;
+  SamplerOptions options;
   options.interval_ns = 1 * 1000 * 1000;  // 1 ms
   sampler.Configure(options);
 
@@ -86,7 +78,7 @@ TEST(TelemetrySamplerTest, StartStopIdempotence) {
 }
 
 TEST(TelemetrySamplerTest, CounterProbeRecordsDeltas) {
-  TelemetrySampler sampler(ProbeOnlyOptions());
+  TelemetrySampler sampler;
   double cumulative = 10;
   sampler.RegisterProbe("t.ops", ProbeKind::kCounter,
                         [&cumulative] { return cumulative; });
@@ -106,10 +98,7 @@ TEST(TelemetrySamplerTest, RegistryCountersScrapedAsDeltas) {
 #ifdef ARTHAS_OBS_DISABLED
   GTEST_SKIP() << "instrumentation macros are compiled out in this build";
 #endif
-  TelemetrySampler sampler;  // defaults scrape the global registry
-  SamplerOptions options;
-  options.sample_gauges = false;
-  sampler.Configure(options);
+  TelemetrySampler sampler;  // every sampler scrapes the global registry
   ARTHAS_COUNTER_ADD("ts_test.scrape.count", 5);
   sampler.SampleNow();  // priming tick: baseline captured, zero deltas
   ARTHAS_COUNTER_ADD("ts_test.scrape.count", 7);
@@ -122,7 +111,7 @@ TEST(TelemetrySamplerTest, RegistryCountersScrapedAsDeltas) {
 }
 
 TEST(TelemetrySamplerTest, ResetDropsSeriesButKeepsProbes) {
-  TelemetrySampler sampler(ProbeOnlyOptions());
+  TelemetrySampler sampler;
   double cumulative = 100;
   sampler.RegisterProbe("t.ops", ProbeKind::kCounter,
                         [&cumulative] { return cumulative; });
@@ -145,7 +134,7 @@ TEST(TelemetrySamplerTest, ResetDropsSeriesButKeepsProbes) {
 }
 
 TEST(TelemetrySamplerTest, MarkersOnlyRecordedWhileRunning) {
-  TelemetrySampler sampler(ProbeOnlyOptions());
+  TelemetrySampler sampler;
   sampler.Mark("before_start");  // dropped: not sampling yet
   ASSERT_TRUE(sampler.Start());
   sampler.Mark("during_run");
@@ -158,7 +147,7 @@ TEST(TelemetrySamplerTest, MarkersOnlyRecordedWhileRunning) {
 }
 
 TEST(TelemetrySamplerTest, UnregisterStopsProbeCalls) {
-  TelemetrySampler sampler(ProbeOnlyOptions());
+  TelemetrySampler sampler;
   int calls = 0;
   const obs::ProbeId id = sampler.RegisterProbe(
       "t.gone", ProbeKind::kGauge,
@@ -175,7 +164,7 @@ TEST(TelemetrySamplerTest, UnregisterStopsProbeCalls) {
 }
 
 TEST(TelemetrySamplerTest, TailFiltersByPrefixAndCount) {
-  TelemetrySampler sampler(ProbeOnlyOptions());
+  TelemetrySampler sampler;
   double v = 0;
   sampler.RegisterProbe("driver.live.ops", ProbeKind::kGauge,
                         [&v] { return v; });
@@ -190,15 +179,16 @@ TEST(TelemetrySamplerTest, TailFiltersByPrefixAndCount) {
   EXPECT_EQ(tail[0].name, "driver.live.ops");
   ASSERT_EQ(tail[0].points.size(), 3u);
   EXPECT_EQ(tail[0].points.back().value, 9.0);
-  EXPECT_EQ(sampler.Tail(3, "").size(), 2u);
+  EXPECT_EQ(sampler.Tail(3, "harness.op.").size(), 1u);
+  EXPECT_GE(sampler.Tail(3, "").size(), 2u);  // plus any registry series
 }
 
 TEST(TelemetrySamplerTest, ConcurrentProbeRegistrationWhileSampling) {
   // 4 threads register/unregister probes and stamp markers while the
   // background tick thread samples at a tight interval. The TSan CI job
   // runs this binary: the test's assertion is mostly "no race, no crash".
-  TelemetrySampler sampler(ProbeOnlyOptions());
-  SamplerOptions options = ProbeOnlyOptions();
+  TelemetrySampler sampler;
+  SamplerOptions options;
   options.interval_ns = 50 * 1000;  // 50 us
   sampler.Configure(options);
   ASSERT_TRUE(sampler.Start());
@@ -238,7 +228,7 @@ TEST(TelemetrySamplerTest, ConcurrentProbeRegistrationWhileSampling) {
 }
 
 TEST(TelemetrySamplerTest, ExportJsonSchema) {
-  TelemetrySampler sampler(ProbeOnlyOptions());
+  TelemetrySampler sampler;
   double v = 0;
   sampler.RegisterProbe("t.series", ProbeKind::kGauge, [&v] { return v; });
   ASSERT_TRUE(sampler.Start());
@@ -253,9 +243,15 @@ TEST(TelemetrySamplerTest, ExportJsonSchema) {
   const JsonValue* series = doc.Get("series");
   ASSERT_NE(series, nullptr);
   ASSERT_TRUE(series->is_array());
-  ASSERT_GE(series->size(), 1u);
-  const JsonValue& s = series->items()[0];
-  EXPECT_EQ(s.Get("name")->AsString(), "t.series");
+  // The registry series the sampler also scraped sit beside the probe's.
+  const JsonValue* probe = nullptr;
+  for (const JsonValue& item : series->items()) {
+    if (item.Get("name")->AsString() == "t.series") {
+      probe = &item;
+    }
+  }
+  ASSERT_NE(probe, nullptr);
+  const JsonValue& s = *probe;
   EXPECT_EQ(s.Get("kind")->AsString(), "probe");
   ASSERT_TRUE(s.Get("points")->is_array());
   ASSERT_GE(s.Get("points")->size(), 1u);
@@ -284,7 +280,8 @@ TEST(TelemetrySamplerTest, DownsamplingKeepsWholeRunWindow) {
   // Soak-length runs opt into downsample_on_full: instead of dropping the
   // oldest points (losing the run's start — exactly what a growth fit
   // needs), a full ring halves its resolution and keeps the whole window.
-  SamplerOptions options = ProbeOnlyOptions(/*ring_capacity=*/64);
+  SamplerOptions options;
+  options.ring_capacity = 64;
   options.downsample_on_full = true;
   TelemetrySampler sampler(options);
 
