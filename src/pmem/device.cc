@@ -4,6 +4,9 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
@@ -13,7 +16,26 @@
 
 namespace arthas {
 
-PmemDevice::PmemDevice(size_t size) : live_(size, 0), durable_(size, 0) {
+PmemDevice::Image::Image(size_t size) : size_(size) {
+  if (size == 0) {
+    return;
+  }
+  // Anonymous mappings are zero-filled, which is the fresh-device state.
+  void* p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  data_ = static_cast<uint8_t*>(p);
+}
+
+PmemDevice::Image::~Image() {
+  if (data_ != nullptr) {
+    munmap(data_, size_);
+  }
+}
+
+PmemDevice::PmemDevice(size_t size) : live_(size), durable_(size) {
   static std::atomic<uint32_t> next_device_id{1};
   device_id_ = next_device_id.fetch_add(1, std::memory_order_relaxed);
   const size_t lines = (size + kCacheLineSize - 1) / kCacheLineSize;
@@ -294,6 +316,7 @@ void PmemDevice::Crash() {
 #endif
   ClearPending();
   std::memcpy(live_.data(), durable_.data(), live_.size());
+  image_generation_.fetch_add(1, std::memory_order_release);
   stats_.crashes++;
 }
 
@@ -306,7 +329,8 @@ void PmemDevice::RawRestore(PmOffset offset, const void* data, size_t size) {
 
 std::vector<uint8_t> PmemDevice::SnapshotDurable() const {
   StripeGuard guard(*this, 0, durable_.size());
-  return durable_;
+  return std::vector<uint8_t>(durable_.data(),
+                              durable_.data() + durable_.size());
 }
 
 Status PmemDevice::RestoreDurable(const std::vector<uint8_t>& image) {
@@ -314,9 +338,10 @@ Status PmemDevice::RestoreDurable(const std::vector<uint8_t>& image) {
     return InvalidArgument("snapshot image size mismatch");
   }
   StripeGuard guard(*this, 0, durable_.size());
-  durable_ = image;
+  std::memcpy(durable_.data(), image.data(), durable_.size());
   std::memcpy(live_.data(), durable_.data(), live_.size());
   ClearPending();
+  image_generation_.fetch_add(1, std::memory_order_release);
   ARTHAS_FLIGHT_RECORD(obs::FrType::kRestore, device_id_, 0, image.size(), 0);
   return OkStatus();
 }
@@ -347,6 +372,7 @@ Status PmemDevice::LoadFromFile(const std::string& path) {
     return Corruption("short read from " + path);
   }
   std::memcpy(live_.data(), durable_.data(), live_.size());
+  image_generation_.fetch_add(1, std::memory_order_release);
   return OkStatus();
 }
 

@@ -186,9 +186,20 @@ class PmemDevice {
   // the harness does).
   void Crash();
 
+  // Counts whole-image replacements: Crash, RestoreDurable and
+  // LoadFromFile each bump it. Volatile state derived from the image (the
+  // pool's free-order index) compares it to know when it must be rebuilt.
+  // RawRestore deliberately does not bump it: both of its callers
+  // (CheckpointLog::RestoreBytes, FaseSubstrate::RestoreAroundMetadata)
+  // step around PmemPool::MetadataRangesIn, so a raw restore never rewrites
+  // allocator state. A new RawRestore caller must keep that invariant.
+  uint64_t image_generation() const {
+    return image_generation_.load(std::memory_order_acquire);
+  }
+
   // Raw mutation of both images at once, bypassing durability events.
   // Used only by recovery tooling (the reactor's reversion step and the
-  // pmCRIU baseline's image restore); never by target systems.
+  // FASE substrate's rollback); never by target systems.
   void RawRestore(PmOffset offset, const void* data, size_t size);
 
   // Whole-image snapshots for the pmCRIU baseline. A snapshot captures the
@@ -255,8 +266,29 @@ class PmemDevice {
   // quiesced flushers (Crash/RestoreDurable hold every stripe).
   void ClearPending();
 
-  std::vector<uint8_t> live_;
-  std::vector<uint8_t> durable_;
+  // One zero-filled device image in a page-aligned anonymous mapping of its
+  // own. Images never come from the malloc heap, so creating and destroying
+  // devices cannot move glibc's dynamic mmap threshold and change where
+  // later allocations land.
+  class Image {
+   public:
+    explicit Image(size_t size);
+    ~Image();
+    Image(const Image&) = delete;
+    Image& operator=(const Image&) = delete;
+
+    uint8_t* data() { return data_; }
+    const uint8_t* data() const { return data_; }
+    size_t size() const { return size_; }
+
+   private:
+    uint8_t* data_ = nullptr;
+    size_t size_ = 0;
+  };
+
+  Image live_;
+  Image durable_;
+  std::atomic<uint64_t> image_generation_{0};
   uint32_t device_id_ = 0;
   mutable std::array<std::mutex, kNumStripes> stripes_;
   // Flushed-but-not-drained cache lines: bit i of word w covers line

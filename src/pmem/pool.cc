@@ -24,8 +24,19 @@ namespace arthas {
 //
 // The buddy tree is a per-node state array (free / split / used). Node
 // indices are heap-shaped: node 1 is the whole heap, children 2i / 2i+1.
-// Allocation descends leftmost-first, which also gives the deterministic
-// address reuse after free that the f1/f10 reproductions rely on.
+// Allocation always takes the lowest-address free block large enough,
+// which gives the deterministic address reuse after free that the f1/f10
+// reproductions rely on.
+//
+// Finding that block is one root-to-leaf descent over a volatile index,
+// as PMDK keeps its allocator's runtime state in DRAM: free_order_[node]
+// is the largest order of a free block in the node's subtree (0 if none).
+// It is derived from the persistent state array, never persisted, and
+// kept current along the changed node's ancestors by every alloc and free,
+// so both are O(log n). It is rebuilt in full (O(nodes)) by Format and
+// Recover, and whenever the device image was replaced beneath the pool
+// (PmemDevice::image_generation moved: Crash, RestoreDurable,
+// LoadFromFile).
 //
 // Undo-slot layout: slot 0 is the original single-transaction design — its
 // activity flag and log cursor live in the pool header, and its log grows
@@ -43,6 +54,9 @@ constexpr uint8_t kNodeFree = 0;
 constexpr uint8_t kNodeSplit = 1;
 constexpr uint8_t kNodeUsed = 2;
 constexpr size_t kMinOrder = 5;  // 32-byte minimum block
+// FindFreeNode's answer when the free-order index disagrees with the state
+// tree (the state bytes were rewritten without an image replacement).
+constexpr uint64_t kIndexMismatch = ~0ULL;
 
 size_t AlignUp(size_t n, size_t align) { return (n + align - 1) & ~(align - 1); }
 
@@ -172,6 +186,40 @@ uint64_t PmemPool::NodeOffset(uint64_t node, size_t node_order) const {
   return h->heap_base + index_in_level * (1ULL << node_order);
 }
 
+// Derives the free-order index from the state tree, one level at a time
+// from the leaves up: a free node holds its own order, a split node the
+// larger of its children's, a used (or invalid) node 0. Nodes below a
+// free or used node get values from stale state bytes; no descent reads
+// them, and splitting their free ancestor re-seeds them.
+std::vector<uint8_t> PmemPool::ComputeFreeOrder() const {
+  const PoolHeader* h = header();
+  const uint8_t* state = TreeState();
+  std::vector<uint8_t> index(h->tree_nodes, 0);
+  for (size_t order = kMinOrder; order <= h->heap_order; order++) {
+    const uint64_t first = 1ULL << (h->heap_order - order);
+    for (uint64_t node = first; node < 2 * first; node++) {
+      if (state[node] == kNodeFree) {
+        index[node] = static_cast<uint8_t>(order);
+      } else if (state[node] == kNodeSplit && order > kMinOrder) {
+        index[node] = std::max(index[2 * node], index[2 * node + 1]);
+      }
+    }
+  }
+  return index;
+}
+
+void PmemPool::RebuildIndex() {
+  free_order_ = ComputeFreeOrder();
+  index_generation_ = device_->image_generation();
+}
+
+void PmemPool::RefreshAncestors(uint64_t node) {
+  for (node /= 2; node != 0; node /= 2) {
+    free_order_[node] =
+        std::max(free_order_[2 * node], free_order_[2 * node + 1]);
+  }
+}
+
 Result<std::unique_ptr<PmemPool>> PmemPool::Create(std::string layout,
                                                    size_t size) {
   if (layout.size() >= sizeof(PoolHeader::layout)) {
@@ -244,6 +292,7 @@ Status PmemPool::Format(size_t size) {
   std::memset(device_->Live(tree_off), kNodeFree, tree_nodes);
   device_->PersistQuiet(tree_off, tree_nodes);
   PersistHeader();
+  RebuildIndex();
   return OkStatus();
 }
 
@@ -305,6 +354,7 @@ Status PmemPool::Recover() {
     busy = false;
   }
   default_tx_ = TxContext{};
+  RebuildIndex();
   return OkStatus();
 }
 
@@ -313,31 +363,35 @@ Status PmemPool::CrashAndRecover() {
   return Recover();
 }
 
-// Descends leftmost-first looking for a free node of `target` order.
-// Returns the node index or 0.
-uint64_t PmemPool::FindFreeNode(uint64_t node, size_t node_order,
-                                size_t target) {
-  uint8_t* state = TreeState();
-  if (state[node] == kNodeUsed) {
+// Returns the lowest-address free node of order >= `target`, split down
+// to `target`: the block a leftmost-first walk of the state tree would
+// take, with the same splits persisted in the same order. One descent
+// over the free-order index: left whenever the left subtree can hold the
+// block. Returns 0 if no free block is large enough, kIndexMismatch if the
+// index disagrees with the state tree on the path.
+uint64_t PmemPool::FindFreeNode(size_t target) {
+  if (free_order_[1] < target) {
     return 0;
   }
-  if (node_order == target) {
-    return state[node] == kNodeFree ? node : 0;
+  uint8_t* state = TreeState();
+  uint64_t node = 1;
+  for (size_t order = header()->heap_order; order > target; order--) {
+    if (state[node] == kNodeFree) {
+      // Split lazily: children become free halves.
+      state[node] = kNodeSplit;
+      state[2 * node] = kNodeFree;
+      state[2 * node + 1] = kNodeFree;
+      PersistNode(node);
+      PersistNode(2 * node);
+      PersistNode(2 * node + 1);
+      free_order_[2 * node] = static_cast<uint8_t>(order - 1);
+      free_order_[2 * node + 1] = static_cast<uint8_t>(order - 1);
+    } else if (state[node] != kNodeSplit) {
+      return kIndexMismatch;
+    }
+    node = free_order_[2 * node] >= target ? 2 * node : 2 * node + 1;
   }
-  if (state[node] == kNodeFree) {
-    // Split lazily: children become free halves.
-    state[node] = kNodeSplit;
-    state[2 * node] = kNodeFree;
-    state[2 * node + 1] = kNodeFree;
-    PersistNode(node);
-    PersistNode(2 * node);
-    PersistNode(2 * node + 1);
-  }
-  const uint64_t left = FindFreeNode(2 * node, node_order - 1, target);
-  if (left != 0) {
-    return left;
-  }
-  return FindFreeNode(2 * node + 1, node_order - 1, target);
+  return state[node] == kNodeFree ? node : kIndexMismatch;
 }
 
 // Requires the pool mutex.
@@ -351,14 +405,21 @@ Result<Oid> PmemPool::AllocInternal(size_t size, bool zero) {
   if (order < 0) {
     return Status(StatusCode::kOutOfSpace, "allocation exceeds heap size");
   }
-  const uint64_t node =
-      FindFreeNode(1, h->heap_order, static_cast<size_t>(order));
+  if (index_generation_ != device_->image_generation()) {
+    RebuildIndex();
+  }
+  const uint64_t node = FindFreeNode(static_cast<size_t>(order));
   if (node == 0) {
     return Status(StatusCode::kOutOfSpace, "persistent pool exhausted");
+  }
+  if (node == kIndexMismatch) {
+    return Corruption("free-order index mismatch");
   }
   uint8_t* state = TreeState();
   state[node] = kNodeUsed;
   PersistNode(node);
+  free_order_[node] = 0;
+  RefreshAncestors(node);
   const uint64_t block = 1ULL << order;
   h->used_bytes += block;
   h->live_objects++;
@@ -423,12 +484,16 @@ Status PmemPool::FreeLocked(Oid oid) {
   if (node == 0) {
     return FailedPrecondition("free of a non-allocated address");
   }
+  if (index_generation_ != device_->image_generation()) {
+    RebuildIndex();
+  }
   PoolHeader* h = header();
   uint8_t* state = TreeState();
   state[node] = kNodeFree;
   PersistNode(node);
   // Merge with the buddy while possible.
   uint64_t cur = node;
+  size_t cur_order = order;
   while (cur > 1) {
     const uint64_t buddy = cur ^ 1ULL;
     if (state[buddy] != kNodeFree) {
@@ -438,7 +503,10 @@ Status PmemPool::FreeLocked(Oid oid) {
     state[parent] = kNodeFree;
     PersistNode(parent);
     cur = parent;
+    cur_order++;
   }
+  free_order_[cur] = static_cast<uint8_t>(cur_order);
+  RefreshAncestors(cur);
   const uint64_t block = 1ULL << order;
   h->used_bytes -= block;
   h->live_objects--;
@@ -772,6 +840,12 @@ Status PmemPool::CheckIntegrity() const {
   const uint8_t* state = TreeState();
   uint64_t used = 0;
   uint64_t live = 0;
+  // The free-order index must match the state tree at every node a descent
+  // can reach. An index built for an earlier image is not checked: the
+  // next alloc or free rebuilds it.
+  const bool check_index = index_generation_ == device_->image_generation();
+  const std::vector<uint8_t> expected =
+      check_index ? ComputeFreeOrder() : std::vector<uint8_t>();
   // Iterative DFS over split nodes.
   std::vector<std::pair<uint64_t, size_t>> stack = {{1, h->heap_order}};
   while (!stack.empty()) {
@@ -779,6 +853,9 @@ Status PmemPool::CheckIntegrity() const {
     stack.pop_back();
     if (state[node] > kNodeUsed) {
       return Corruption("invalid buddy node state");
+    }
+    if (check_index && free_order_[node] != expected[node]) {
+      return Corruption("free-order index mismatch");
     }
     if (state[node] == kNodeSplit) {
       if (order == kMinOrder) {

@@ -9,10 +9,11 @@
 //   * explicit persistence of object ranges (pmemobj_persist),
 //   * undo-log transactions (see pmem/tx.h).
 //
-// Allocator metadata (block headers, free list, pool header) is itself kept
-// in PM and persisted with *internal* (non-observed) persists so that the
-// Arthas checkpoint log records application PM updates, not heap bookkeeping
-// — matching the paper's modified PMDK, which intercepts object updates.
+// Allocator metadata (pool header, buddy state tree, undo log) is itself
+// kept in PM and persisted with *internal* (non-observed) persists so that
+// the Arthas checkpoint log records application PM updates, not heap
+// bookkeeping — matching the paper's modified PMDK, which intercepts object
+// updates.
 //
 // PoolObserver is the second half of the Arthas hook surface (the first is
 // DurabilityObserver on the device): allocation, free, and realloc events
@@ -22,8 +23,9 @@
 // Concurrency model (see DESIGN.md "Concurrency model"):
 //   * All allocator operations (Alloc/Zalloc/Free/Realloc/Root/UsableSize/
 //     ForEachBlock/CheckIntegrity) and all transaction operations are
-//     serialized on one pool mutex; the buddy tree, the pool header, and
-//     the undo slot table are only touched under it.
+//     serialized on one pool mutex; the buddy tree, its volatile
+//     free-order index, the pool header, and the undo slot table are only
+//     touched under it.
 //   * Transactions are per-thread: each thread opens its own TxContext.
 //     Concurrent transactions must cover disjoint PM ranges (the usual
 //     libpmemobj contract); the undo region is partitioned into per-slot
@@ -214,8 +216,10 @@ class PmemPool {
       const std::function<void(PmOffset offset, size_t size, bool used)>& fn)
       const;
 
-  // Verifies pool metadata integrity (header checksum, block headers, free
-  // list). The pmempool-check analogue used by the consistency evaluation.
+  // Verifies pool metadata integrity (header checksum, buddy state tree,
+  // usage accounting, and the free-order index when it was built for the
+  // current image). The pmempool-check analogue used by the consistency
+  // evaluation.
   Status CheckIntegrity() const;
 
   // Byte ranges within [offset, offset+size) that are allocator metadata
@@ -264,12 +268,15 @@ class PmemPool {
   void RollbackUndoLog(PmOffset log_base, uint64_t log_count);
 
   // Buddy-allocator internals (state array in the out-of-band metadata
-  // region; see the design comment in pool.cc).
+  // region, free-order index in DRAM; see the design comment in pool.cc).
   uint8_t* TreeState();
   const uint8_t* TreeState() const;
   void PersistNode(uint64_t node);
   uint64_t NodeOffset(uint64_t node, size_t node_order) const;
-  uint64_t FindFreeNode(uint64_t node, size_t node_order, size_t target);
+  std::vector<uint8_t> ComputeFreeOrder() const;
+  void RebuildIndex();
+  void RefreshAncestors(uint64_t node);
+  uint64_t FindFreeNode(size_t target);
   std::pair<uint64_t, size_t> FindUsedNode(PmOffset offset) const;
   void WalkTree(uint64_t node, size_t node_order,
                 const std::function<void(PmOffset, size_t, bool)>& fn) const;
@@ -284,6 +291,10 @@ class PmemPool {
   // Volatile occupancy of the undo slots (persistent side: header fields
   // for slot 0, TxSlotDescriptors for the rest).
   bool slot_busy_[kMaxConcurrentTx] = {};
+  // Volatile free-order index over the buddy tree (one byte per node) and
+  // the device image generation it was derived from.
+  std::vector<uint8_t> free_order_;
+  uint64_t index_generation_ = ~0ULL;
   TxContext default_tx_;  // backs the context-free single-threaded API
   // `pmem.pool.used.bytes` capacity cell over stats_.used_bytes. Declared
   // last so it unregisters before the stats it reads die.

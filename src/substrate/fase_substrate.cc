@@ -219,10 +219,13 @@ void FaseSubstrate::ResetLogLocked() {
 
 void FaseSubstrate::RestoreAroundMetadata(PmOffset target_off,
                                           const uint8_t* data, size_t size) {
-  // Undo ranges arrive cache-line rounded from Drain, so they can straddle
-  // allocator boundary tags; restoring those would corrupt the heap the
-  // pool just recovered. Skip the metadata islands, restore the payload
-  // around them (the checkpoint log's restore uses the same discipline).
+  // Undo ranges arrive cache-line rounded from Drain. All allocator
+  // metadata (pool header, undo log, buddy state array) lies below the
+  // line-aligned heap base, so a range of heap payload never reaches it;
+  // any range that does has its metadata part skipped, so the restore can
+  // never corrupt the heap the pool just recovered, nor rewrite the state
+  // tree behind the pool's free-order index (PmemDevice::image_generation
+  // relies on this). The checkpoint log's restore uses the same discipline.
   size_t cursor = 0;
   for (const auto& [moff, msize] : pool_->MetadataRangesIn(target_off, size)) {
     const size_t rel = moff - target_off;
@@ -301,7 +304,7 @@ Status FaseSubstrate::Recover() {
                           log_device_->Live(it->payload_off),
                           it->header.payload_size);
   }
-  for (uint64_t id : incomplete) {
+  for ([[maybe_unused]] uint64_t id : incomplete) {
     sections_rolled_back_.fetch_add(1, std::memory_order_relaxed);
     ARTHAS_FLIGHT_RECORD(obs::FrType::kSectionAbort, device_->device_id(),
                          /*addr=*/0, /*size=*/0, /*arg=*/id,

@@ -1,5 +1,6 @@
 // Unit tests for the simulated PM device and the pool allocator/transactions.
 
+#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <set>
@@ -405,18 +406,48 @@ TEST(PmemPoolTest, ObserverSeesLifecycleEvents) {
 
 // Property-style sweep: random alloc/free/crash sequences keep the pool
 // metadata consistent for a range of pool sizes.
+// The pool's placement rule, computed from the public API alone: the
+// lowest-offset free block at least as large as the request rounded up to
+// a power of two (32 B minimum). kNullPmOffset when no free block fits.
+PmOffset ExpectedPlacement(const PmemPool& pool, size_t size) {
+  size_t block = 32;
+  while (block < size) {
+    block <<= 1;
+  }
+  PmOffset best = kNullPmOffset;
+  pool.ForEachBlock([&](PmOffset off, size_t bsize, bool used) {
+    if (!used && bsize >= block && off < best) {
+      best = off;
+    }
+  });
+  return best;
+}
+
 class PoolFuzzTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PoolFuzzTest, RandomOpsPreserveIntegrity) {
   auto pool = *PmemPool::Create("fuzz", GetParam());
   uint64_t seed = GetParam() * 2654435761u;
   std::vector<Oid> live;
+  // Mostly small requests, one in eight up to 8 KiB, so allocations split
+  // large blocks and frees merge several levels back up.
+  auto request_size = [&seed](int shift) -> size_t {
+    const size_t limit = (seed >> 45) % 8 == 0 ? 8192 : 512;
+    return 16 + (seed >> shift) % limit;
+  };
   for (int i = 0; i < 600; i++) {
     seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
     const uint64_t pick = (seed >> 33) % 100;
     if (pick < 55) {
-      auto oid = pool->Zalloc(16 + (seed >> 17) % 512);
-      if (oid.ok()) {
+      const size_t size = request_size(17);
+      const PmOffset want = ExpectedPlacement(*pool, size);
+      auto oid = pick < 40 ? pool->Zalloc(size) : pool->Alloc(size);
+      if (want == kNullPmOffset) {
+        ASSERT_EQ(oid.status().code(), StatusCode::kOutOfSpace)
+            << "iteration " << i;
+      } else {
+        ASSERT_TRUE(oid.ok()) << "iteration " << i;
+        ASSERT_EQ(oid->off, want) << "iteration " << i << " size " << size;
         live.push_back(*oid);
       }
     } else if (pick < 85 && !live.empty()) {
@@ -425,8 +456,19 @@ TEST_P(PoolFuzzTest, RandomOpsPreserveIntegrity) {
       live.erase(live.begin() + idx);
     } else if (pick < 95 && !live.empty()) {
       size_t idx = (seed >> 9) % live.size();
-      auto grown = pool->Realloc(live[idx], 16 + (seed >> 21) % 1024);
-      if (grown.ok()) {
+      const size_t new_size = request_size(21);
+      const size_t old_size = *pool->UsableSize(live[idx]);
+      const PmOffset want = new_size <= old_size
+                                ? live[idx].off
+                                : ExpectedPlacement(*pool, new_size);
+      auto grown = pool->Realloc(live[idx], new_size);
+      if (want == kNullPmOffset) {
+        ASSERT_EQ(grown.status().code(), StatusCode::kOutOfSpace)
+            << "iteration " << i;
+      } else {
+        ASSERT_TRUE(grown.ok()) << "iteration " << i;
+        ASSERT_EQ(grown->off, want) << "iteration " << i << " size "
+                                    << new_size;
         live[idx] = *grown;
       }
     } else {
@@ -439,6 +481,143 @@ TEST_P(PoolFuzzTest, RandomOpsPreserveIntegrity) {
 INSTANTIATE_TEST_SUITE_P(PoolSizes, PoolFuzzTest,
                          ::testing::Values(128 * 1024, 256 * 1024, 512 * 1024,
                                            1024 * 1024));
+
+// --- Image replacement beneath a live pool ------------------------------------
+//
+// The allocator's free-order index is volatile state derived from the
+// image. These cases replace the image under a pool whose index reflects a
+// different layout, then check the next allocations against the image as
+// it now stands.
+
+struct Block {
+  PmOffset off;
+  size_t size;
+};
+
+std::vector<Block> UsedBlocks(const PmemPool& pool) {
+  std::vector<Block> used;
+  pool.ForEachBlock([&](PmOffset off, size_t size, bool is_used) {
+    if (is_used) {
+      used.push_back({off, size});
+    }
+  });
+  return used;
+}
+
+// Allocates a mix of sizes and checks that each lands where the image's
+// state tree says it must, overlaps none of the image's live objects, and
+// leaves the pool consistent.
+void ExpectAllocationsRespectImage(PmemPool& pool,
+                                   const std::vector<Block>& image_used) {
+  for (size_t size : {64, 32, 256, 128, 1024, 32, 4096}) {
+    const PmOffset want = ExpectedPlacement(pool, size);
+    ASSERT_NE(want, kNullPmOffset);
+    auto oid = pool.Alloc(size);
+    ASSERT_TRUE(oid.ok()) << oid.status().message();
+    EXPECT_EQ(oid->off, want) << "size " << size;
+    const size_t block = *pool.UsableSize(*oid);
+    for (const Block& b : image_used) {
+      EXPECT_TRUE(oid->off + block <= b.off || b.off + b.size <= oid->off)
+          << "allocation at " << oid->off << " overlaps live object at "
+          << b.off;
+    }
+    ASSERT_TRUE(pool.CheckIntegrity().ok());
+  }
+}
+
+// Allocates `count` 64-byte objects: they pack the low end of the heap.
+std::vector<Oid> AllocSmall(PmemPool& pool, int count) {
+  std::vector<Oid> oids;
+  for (int i = 0; i < count; i++) {
+    oids.push_back(*pool.Alloc(64));
+  }
+  return oids;
+}
+
+// Frees the low objects and fills the heap with a different layout, so an
+// index left over from this state would steer the next allocations into
+// blocks the earlier image holds live.
+void Relayout(PmemPool& pool, const std::vector<Oid>& low) {
+  for (const Oid& oid : low) {
+    ASSERT_TRUE(pool.Free(oid).ok());
+  }
+  for (int i = 0; i < 6; i++) {
+    ASSERT_TRUE(pool.Alloc(2048).ok());
+  }
+}
+
+TEST(PoolImageReplacementTest, DeviceCrashWithoutRecover) {
+  auto pool = *PmemPool::Create("img", 128 * 1024);
+  AllocSmall(*pool, 12);
+  const std::vector<Block> image_used = UsedBlocks(*pool);
+  pool->device().Crash();
+  EXPECT_EQ(UsedBlocks(*pool).size(), image_used.size());
+  ExpectAllocationsRespectImage(*pool, image_used);
+}
+
+TEST(PoolImageReplacementTest, RestoreDurableOfEarlierSnapshot) {
+  auto pool = *PmemPool::Create("img", 128 * 1024);
+  const std::vector<Oid> low = AllocSmall(*pool, 12);
+  const std::vector<Block> image_used = UsedBlocks(*pool);
+  const std::vector<uint8_t> snapshot = pool->device().SnapshotDurable();
+  Relayout(*pool, low);
+  ASSERT_TRUE(pool->device().RestoreDurable(snapshot).ok());
+  ASSERT_EQ(UsedBlocks(*pool).size(), image_used.size());
+  ExpectAllocationsRespectImage(*pool, image_used);
+}
+
+TEST(PoolImageReplacementTest, LoadFromFileIntoLivePool) {
+  auto pool = *PmemPool::Create("img", 128 * 1024);
+  const std::vector<Oid> low = AllocSmall(*pool, 12);
+  const std::vector<Block> image_used = UsedBlocks(*pool);
+  const std::string path = ::testing::TempDir() + "arthas_pool_relayout.img";
+  ASSERT_TRUE(pool->device().SaveToFile(path).ok());
+  Relayout(*pool, low);
+  ASSERT_TRUE(pool->device().LoadFromFile(path).ok());
+  std::remove(path.c_str());
+  ASSERT_EQ(UsedBlocks(*pool).size(), image_used.size());
+  ExpectAllocationsRespectImage(*pool, image_used);
+}
+
+TEST(PoolImageReplacementTest, CrashAndRecover) {
+  auto pool = *PmemPool::Create("img", 128 * 1024);
+  const std::vector<Oid> low = AllocSmall(*pool, 12);
+  ASSERT_TRUE(pool->Free(low[3]).ok());
+  ASSERT_TRUE(pool->Free(low[4]).ok());
+  const std::vector<Block> image_used = UsedBlocks(*pool);
+  ASSERT_TRUE(pool->CrashAndRecover().ok());
+  EXPECT_EQ(UsedBlocks(*pool).size(), image_used.size());
+  ExpectAllocationsRespectImage(*pool, image_used);
+}
+
+TEST(PmemPoolTest, IntegrityCheckCatchesDriftedIndex) {
+  auto pool = *PmemPool::Create("drift", 128 * 1024);
+  const Oid a = *pool->Alloc(32);
+  const Oid b = *pool->Alloc(32);
+  ASSERT_EQ(b.off, a.off + 32);  // buddies
+  // Freeing b (its buddy stays used, so nothing merges) rewrites the pool
+  // header and exactly one state byte, the highest changed metadata byte.
+  const size_t meta = a.off;  // the heap starts at the first allocation
+  const std::vector<uint8_t> before(pool->device().Live(0),
+                                    pool->device().Live(meta));
+  ASSERT_TRUE(pool->Free(b).ok());
+  size_t state_byte = 0;
+  for (size_t off = 0; off < meta; off++) {
+    if (pool->device().Live(off)[0] != before[off]) {
+      state_byte = off;
+    }
+  }
+  ASSERT_GT(state_byte, 0u);
+  ASSERT_TRUE(pool->CheckIntegrity().ok());
+  // Mark b used again behind the allocator's back.
+  *pool->device().Live(state_byte) = before[state_byte];
+  const Status status = pool->CheckIntegrity();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(status.message(), "free-order index mismatch");
+  // The allocator refuses to hand out a block the index and the state tree
+  // disagree on.
+  EXPECT_EQ(pool->Alloc(32).status().code(), StatusCode::kCorruption);
+}
 
 }  // namespace
 }  // namespace arthas
