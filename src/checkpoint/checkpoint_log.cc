@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
@@ -148,30 +149,23 @@ size_t CheckpointLog::ShardOf(PmOffset address) {
   return (line * 0x9E3779B97F4A7C15ULL >> 32) % kNumShards;
 }
 
-void CheckpointLog::RaiseMaxExtent(size_t extent) {
-  size_t cur = max_extent_.load(std::memory_order_relaxed);
-  while (cur < extent &&
-         !max_extent_.compare_exchange_weak(cur, extent,
-                                            std::memory_order_relaxed)) {
+uint32_t CheckpointLog::SlotOf(const Shard& shard, PmOffset address) {
+  if (shard.buckets.empty()) {
+    return 0;
+  }
+  const size_t mask = shard.buckets.size() - 1;
+  for (size_t i = HashAddress(address) & mask;; i = (i + 1) & mask) {
+    const uint32_t slot = shard.buckets[i];
+    if (slot == 0 || shard.slots[slot - 1].address == address) {
+      return slot;
+    }
   }
 }
 
 const CheckpointEntry* CheckpointLog::FindSlot(const Shard& shard,
                                                PmOffset address) {
-  if (shard.buckets.empty()) {
-    return nullptr;
-  }
-  const size_t mask = shard.buckets.size() - 1;
-  for (size_t i = HashAddress(address) & mask;; i = (i + 1) & mask) {
-    const uint32_t slot = shard.buckets[i];
-    if (slot == 0) {
-      return nullptr;
-    }
-    const CheckpointEntry& entry = shard.slots[slot - 1];
-    if (entry.address == address) {
-      return &entry;
-    }
-  }
+  const uint32_t slot = SlotOf(shard, address);
+  return slot == 0 ? nullptr : &shard.slots[slot - 1];
 }
 
 CheckpointEntry* CheckpointLog::FindSlot(Shard& shard, PmOffset address) {
@@ -193,6 +187,39 @@ void CheckpointLog::AddIndexBytes(size_t bytes) {
   index_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
+uint64_t CheckpointLog::LastLine(PmOffset address, size_t extent) {
+  return (address + std::max<size_t>(extent, 1) - 1) / kCacheLineSize;
+}
+
+void CheckpointLog::IndexLinesLocked(Shard& shard, uint32_t slot,
+                                     uint64_t first, uint64_t last) {
+  const auto place = [](std::vector<LineBucket>& table, LineBucket bucket) {
+    const size_t mask = table.size() - 1;
+    size_t i = HashAddress(bucket.line) & mask;
+    while (table[i].slot != 0) {
+      i = (i + 1) & mask;
+    }
+    table[i] = bucket;
+  };
+  for (uint64_t line = first; line <= last; line++) {
+    if ((shard.line_count + 1) * 4 > shard.lines.size() * 3) {
+      // Grow to keep load <= 3/4. The buckets carry their own keys, so the
+      // rehash moves them without touching the entries.
+      const size_t cap = std::max<size_t>(64, shard.lines.size() * 2);
+      const std::vector<LineBucket> old =
+          std::exchange(shard.lines, std::vector<LineBucket>(cap));
+      AddIndexBytes((cap - old.size()) * sizeof(LineBucket));
+      for (const LineBucket& bucket : old) {
+        if (bucket.slot != 0) {
+          place(shard.lines, bucket);
+        }
+      }
+    }
+    place(shard.lines, LineBucket{static_cast<uint32_t>(line), slot});
+    shard.line_count++;
+  }
+}
+
 // (Re)builds the bucket array sized so the next insert keeps load <= 3/4.
 void CheckpointLog::RehashLocked(Shard& shard) {
   size_t cap = 64;
@@ -210,10 +237,12 @@ void CheckpointLog::RehashLocked(Shard& shard) {
 
 CheckpointEntry& CheckpointLog::GetOrCreateLocked(Shard& shard,
                                                   PmOffset address,
-                                                  size_t size) {
+                                                  size_t size,
+                                                  uint32_t* slot) {
   ARTHAS_PROFILE(kIndexLookup);
-  if (CheckpointEntry* found = FindSlot(shard, address)) {
-    return *found;
+  *slot = SlotOf(shard, address);
+  if (*slot != 0) {
+    return shard.slots[*slot - 1];
   }
   if (shard.buckets.empty() ||
       (shard.slots.size() + 1) * 4 > shard.buckets.size() * 3) {
@@ -229,9 +258,13 @@ CheckpointEntry& CheckpointLog::GetOrCreateLocked(Shard& shard,
     entry.original.assign(device_->Durable(address),
                           device_->Durable(address) + size);
   }
-  InsertBucket(shard, address, static_cast<uint32_t>(shard.slots.size()));
+  *slot = static_cast<uint32_t>(shard.slots.size());
+  InsertBucket(shard, address, *slot);
+  IndexLinesLocked(shard, *slot, address / kCacheLineSize,
+                   LastLine(address, size));
   entry_count_++;
   AddIndexBytes(sizeof(CheckpointEntry) + entry.original.size());
+  ARTHAS_GAUGE_SET("checkpoint.entries.count", entry_count_.load());
   return entry;
 }
 
@@ -258,7 +291,8 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
     // Everything under the shard lock not claimed by a nested phase below
     // (index probe, arena copies) is ring/seq bookkeeping.
     ARTHAS_PROFILE(kBookkeeping);
-    CheckpointEntry& entry = GetOrCreateLocked(shard, offset, size);
+    uint32_t slot = 0;
+    CheckpointEntry& entry = GetOrCreateLocked(shard, offset, size, &slot);
     // A larger persist at a known address (e.g. an object growing, or an
     // overrunning copy) extends the entry's extent: capture the still-durable
     // bytes beyond the previous extent so reversion can restore them.
@@ -269,6 +303,8 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
                             device_->Durable(offset + old_extent),
                             device_->Durable(offset) + size);
       AddIndexBytes(size - old_extent);
+      IndexLinesLocked(shard, slot, LastLine(offset, old_extent) + 1,
+                       LastLine(offset, size));
     }
     CheckpointVersion version;
     // Allocated under the shard lock, so this shard's seq_index appends stay
@@ -290,8 +326,11 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
       // recycle its arena spans.
       const CheckpointVersion evicted = entry.versions.front();
       if (evicted.data.size() > entry.original.size()) {
-        AddIndexBytes(evicted.data.size() - entry.original.size());
+        const size_t old_extent = entry.original.size();
+        AddIndexBytes(evicted.data.size() - old_extent);
         entry.original.resize(evicted.data.size());
+        IndexLinesLocked(shard, slot, LastLine(offset, old_extent) + 1,
+                         LastLine(offset, evicted.data.size()));
       }
       std::copy(evicted.data.begin(), evicted.data.end(),
                 entry.original.begin());
@@ -301,14 +340,11 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
       retained_versions_--;
       ARTHAS_PROFILE(kObsHook);
       ARTHAS_COUNTER_ADD("checkpoint.evict.count", 1);
-      ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointEvict,
-                           device_->device_id(), offset, 0, evicted.seq_num);
     }
     shard.seq_index.emplace_back(seq, offset);
     AddIndexBytes(sizeof(std::pair<SeqNum, PmOffset>));
     entry.versions.push_back(version);
     retained_versions_++;
-    RaiseMaxExtent(entry.original.size());
   }
   if (tx_id != 0) {
     // Lock-free on the persist path: staged locally, published at commit.
@@ -318,13 +354,10 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
   ARTHAS_PROFILE(kObsHook);
   stats_.records++;
   stats_.bytes_copied += size;
-  ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointTake, device_->device_id(),
-                       offset, size, seq);
   // Write-amplification accounting (Section 6.4): `copy.bytes` counts both
   // the new-version and undo copies the log makes per persisted range.
   ARTHAS_COUNTER_ADD("checkpoint.record.count", 1);
   ARTHAS_COUNTER_ADD("checkpoint.copy.bytes", 2 * size);
-  ARTHAS_GAUGE_SET("checkpoint.entries.count", entry_count_.load());
 }
 
 void CheckpointLog::OnAlloc(PmOffset offset, size_t size) {
@@ -363,8 +396,9 @@ void CheckpointLog::OnRealloc(PmOffset old_offset, size_t /*old_size*/,
     second = std::unique_lock<std::mutex>(
         shards_[std::max(si_new, si_old)].mutex);
   }
+  uint32_t slot = 0;
   CheckpointEntry& fresh =
-      GetOrCreateLocked(shards_[si_new], new_offset, new_size);
+      GetOrCreateLocked(shards_[si_new], new_offset, new_size, &slot);
   fresh.old_entry = old_offset;
   if (CheckpointEntry* old_entry = FindSlot(shards_[si_old], old_offset)) {
     old_entry->new_entry = new_offset;
@@ -421,26 +455,31 @@ const CheckpointEntry* CheckpointLog::Find(PmOffset address) const {
 
 std::vector<const CheckpointEntry*> CheckpointLog::Overlapping(
     PmOffset offset, size_t size) const {
-  // Entries are hash-indexed (no address order to exploit), but only those
-  // starting within the largest recorded extent below the range end can
-  // overlap, so the scan filters on [offset - max_extent, offset + size).
-  // Reactor-side: linear in the shard's entry count, which is fine off the
-  // hot path.
+  // Every entry that can overlap covers one of the range's lines (its
+  // indexed lines span its extent), so probing those lines in each shard
+  // finds them all; the extent check below is the exact rule. An entry
+  // spanning several probed lines is found once per line.
   std::vector<const CheckpointEntry*> out;
-  const size_t max_extent = max_extent_.load();
+  const uint64_t first = offset / kCacheLineSize;
+  const uint64_t last = LastLine(offset, size);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const CheckpointEntry& entry : shard.slots) {
-      if (entry.address >= offset + size ||
-          entry.address + max_extent <= offset) {
-        continue;
-      }
-      const size_t extent = std::max(entry.original.size(),
-                                     entry.versions.empty()
-                                         ? size_t{0}
-                                         : entry.versions.back().data.size());
-      if (offset < entry.address + extent) {
-        out.push_back(&entry);
+    if (shard.lines.empty()) {
+      continue;
+    }
+    const size_t mask = shard.lines.size() - 1;
+    for (uint64_t line = first; line <= last; line++) {
+      const auto key = static_cast<uint32_t>(line);
+      for (size_t i = HashAddress(key) & mask; shard.lines[i].slot != 0;
+           i = (i + 1) & mask) {
+        if (shard.lines[i].line != key) {
+          continue;
+        }
+        const CheckpointEntry& entry = shard.slots[shard.lines[i].slot - 1];
+        if (entry.address < offset + size &&
+            offset < entry.address + entry.extent()) {
+          out.push_back(&entry);
+        }
       }
     }
   }
@@ -448,6 +487,7 @@ std::vector<const CheckpointEntry*> CheckpointLog::Overlapping(
             [](const CheckpointEntry* a, const CheckpointEntry* b) {
               return a->address < b->address;
             });
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

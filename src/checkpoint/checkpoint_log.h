@@ -24,7 +24,10 @@
 // stable across rehash), and copies version payloads into a per-shard
 // size-classed arena instead of per-version heap vectors. One OnPersist is a
 // hash probe plus two arena copies — no tree rebalancing and, in steady
-// state, no allocator calls.
+// state, no allocator calls. A second flat table per shard maps each cache
+// line to the entries covering it; it changes only when an entry's extent
+// reaches a new line, and turns the reactor's Overlapping into a point
+// lookup.
 //
 // Concurrency model (see DESIGN.md "Concurrency model"):
 //   * The per-address entry index is sharded by offset hash with a lock per
@@ -59,6 +62,7 @@
 #ifndef ARTHAS_CHECKPOINT_CHECKPOINT_LOG_H_
 #define ARTHAS_CHECKPOINT_CHECKPOINT_LOG_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -228,6 +232,13 @@ struct CheckpointEntry {
   // Realloc linkage.
   PmOffset old_entry = kNullPmOffset;
   PmOffset new_entry = kNullPmOffset;
+
+  // The recorded range is [address, address + extent()): the pre-history
+  // or the newest version, whichever is longer.
+  size_t extent() const {
+    return std::max(original.size(),
+                    versions.empty() ? size_t{0} : versions.back().data.size());
+  }
 };
 
 // Fields are atomics so the harness can read them while flushers record.
@@ -294,7 +305,11 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Entry at exactly `address`, or nullptr.
   const CheckpointEntry* Find(PmOffset address) const;
 
-  // Entries whose recorded range overlaps [offset, offset+size).
+  // Entries whose recorded range overlaps [offset, offset+size), in address
+  // order. A point lookup: each shard's cache-line index is probed for the
+  // lines of the range (see Shard::lines), so the cost is the number of
+  // lines queried times kNumShards plus the hits, not the log's size. An
+  // entry's range is [address, address + extent()).
   std::vector<const CheckpointEntry*> Overlapping(PmOffset offset,
                                                   size_t size) const;
 
@@ -368,6 +383,12 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   Status Restore(const std::vector<uint8_t>& image);
 
  private:
+  // One cache-line index bucket; slot == 0 marks an empty bucket.
+  struct LineBucket {
+    uint32_t line = 0;  // low 32 bits of offset / kCacheLineSize
+    uint32_t slot = 0;  // slot index + 1 of an entry covering the line
+  };
+
   // One lock-striped slice of the per-address entry index.
   struct Shard {
     mutable std::mutex mutex;
@@ -378,6 +399,16 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
     // Append-only entry storage. A deque keeps entry addresses stable, so
     // Find/Overlapping pointers survive rehashes and new inserts.
     std::deque<CheckpointEntry> slots;
+    // Cache-line index for Overlapping: one bucket per (line, entry) pair
+    // for every cache line an entry's extent covers (a zero-byte extent
+    // claims the line holding its address). An open-addressing multimap
+    // like `buckets`: power-of-two size, linear probing, load <= 3/4, no
+    // erasure — an extent only grows (Restore rebuilds the whole index),
+    // so maintenance appends the newly covered lines. A bucket keeps the
+    // line's low 32 bits as its key; a truncated-key collision only yields
+    // a candidate Overlapping's exact extent check rejects.
+    std::vector<LineBucket> lines;
+    size_t line_count = 0;
     // (seq, entry address) pairs in seq order — seqs are allocated under
     // the shard mutex, so plain append keeps this sorted and LocateSeq is
     // a binary search. Validated against the entry's retained versions at
@@ -402,14 +433,26 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   }
 
   // Flat-hash helpers. All require `shard.mutex` (or caller-serialization).
+  // Slot index + 1 of the entry at `address`, or 0.
+  static uint32_t SlotOf(const Shard& shard, PmOffset address);
   static CheckpointEntry* FindSlot(Shard& shard, PmOffset address);
   static const CheckpointEntry* FindSlot(const Shard& shard,
                                          PmOffset address);
   static void InsertBucket(Shard& shard, PmOffset address, uint32_t slot);
+  // Index of the cache line holding the last byte of [address, address +
+  // extent), or of `address` itself for a zero-byte extent.
+  static uint64_t LastLine(PmOffset address, size_t extent);
+  // Adds (line, slot) for lines [first, last] to the shard's cache-line
+  // index (none when first > last). Callers pass the lines an extent newly
+  // covers, so no pair is indexed twice. Non-static: growth is index bytes.
+  void IndexLinesLocked(Shard& shard, uint32_t slot, uint64_t first,
+                        uint64_t last);
   // Non-static: rehashes account their bucket-array growth on this log.
   void RehashLocked(Shard& shard);
+  // The entry at `address`, created (and its lines indexed) on first use;
+  // `*slot` receives its slot index + 1.
   CheckpointEntry& GetOrCreateLocked(Shard& shard, PmOffset address,
-                                     size_t size);
+                                     size_t size, uint32_t* slot);
 
   // Moves every thread's staged pairs into seq_to_tx_/tx_to_seqs_.
   // Requires aux_mutex_; races with nothing when caller-serialized.
@@ -421,7 +464,6 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
                                         size_t upto) const;
   // Restore that steps around current allocator metadata in the range.
   void RestoreBytes(PmOffset address, const uint8_t* data, size_t size);
-  void RaiseMaxExtent(size_t extent);
   // Index-footprint growth (entries never shrink outside destruction).
   void AddIndexBytes(size_t bytes);
 
@@ -446,8 +488,6 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // `checkpoint.retained.versions` and `checkpoint.index.bytes`.
   std::atomic<uint64_t> retained_versions_{0};
   std::atomic<uint64_t> index_bytes_{0};
-  // Largest extent any entry ever reached (bounds the Overlapping scan).
-  std::atomic<size_t> max_extent_{0};
   CheckpointStats stats_;
   // Declared last so they unregister before the counters they read die.
   obs::ResourceSource index_source_;

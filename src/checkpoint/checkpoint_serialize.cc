@@ -155,7 +155,6 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
   if (!r.U64(&entry_count)) {
     return Corruption("truncated entry count");
   }
-  size_t max_extent = 0;
   for (uint64_t i = 0; i < entry_count; i++) {
     StagedEntry entry;
     uint64_t version_count = 0;
@@ -172,7 +171,6 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
       }
       entry.versions.push_back(std::move(version));
     }
-    max_extent = std::max(max_extent, entry.original.size());
     staged[ShardOf(entry.address)].push_back(std::move(entry));
   }
 
@@ -216,13 +214,16 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
   uint64_t total_entries = 0;
   uint64_t total_versions = 0;
   // The rebuild replaces the whole index: restart its byte accounting and
-  // let the per-entry adds and RehashLocked re-accumulate it.
+  // let the per-entry adds, RehashLocked and IndexLinesLocked
+  // re-accumulate it.
   index_bytes_.store(0);
   for (size_t si = 0; si < kNumShards; si++) {
     std::lock_guard<std::mutex> lock(shards_[si].mutex);
     Shard& shard = shards_[si];
     shard.slots.clear();
     shard.buckets.clear();
+    shard.lines.clear();
+    shard.line_count = 0;
     shard.seq_index.clear();
     shard.arena.Clear();
     for (StagedEntry& src : staged[si]) {
@@ -249,6 +250,12 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
     // re-sort the seq slice to restore the binary-search invariant.
     std::sort(shard.seq_index.begin(), shard.seq_index.end());
     RehashLocked(shard);
+    for (size_t slot = 0; slot < shard.slots.size(); slot++) {
+      const CheckpointEntry& entry = shard.slots[slot];
+      IndexLinesLocked(shard, static_cast<uint32_t>(slot + 1),
+                       entry.address / kCacheLineSize,
+                       LastLine(entry.address, entry.extent()));
+    }
     total_entries += shard.slots.size();
   }
   {
@@ -262,9 +269,9 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
   }
   next_seq_ = next_seq;
   entry_count_ = total_entries;
+  ARTHAS_GAUGE_SET("checkpoint.entries.count", total_entries);
   retained_versions_ = total_versions;
   config_.max_versions = static_cast<int>(max_versions);
-  max_extent_ = max_extent;
   return OkStatus();
 }
 

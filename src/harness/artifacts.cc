@@ -52,8 +52,11 @@ std::vector<CellRecord> CellRecords() {
 }
 
 void ClearCellRecords() {
-  std::lock_guard<std::mutex> lock(CellMutex());
-  CellStore().clear();
+  {
+    std::lock_guard<std::mutex> lock(CellMutex());
+    CellStore().clear();
+  }
+  obs::SpanTracer::Global().Clear();
 }
 
 std::string MetricsArtifactJson() {

@@ -53,6 +53,10 @@ struct CellRecord {
 // Process-global per-cell accumulator (appended by FaultExperiment::Run).
 void RecordCell(CellRecord record);
 std::vector<CellRecord> CellRecords();
+// Drops the cell records and the spans the cells left in
+// SpanTracer::Global() (the trace artifact's content), so a caller that
+// runs cells in a loop and clears between rounds holds bounded memory.
+// Call it with no span open.
 void ClearCellRecords();
 
 // The metrics artifact: {"counters", "gauges", "histograms", "cells"}.

@@ -1,7 +1,5 @@
 #include "obs/flight_recorder.h"
 
-#include "common/clock.h"
-
 namespace arthas {
 namespace obs {
 
@@ -21,8 +19,6 @@ const char* FrTypeName(FrType type) {
     case FrType::kTxAbort: return "tx_abort";
     case FrType::kAlloc: return "alloc";
     case FrType::kFree: return "free";
-    case FrType::kCheckpointTake: return "checkpoint_take";
-    case FrType::kCheckpointEvict: return "checkpoint_evict";
     case FrType::kCheckpointRevert: return "checkpoint_revert";
     case FrType::kCheckpointRollback: return "checkpoint_rollback";
     case FrType::kFaultInjected: return "fault_injected";
@@ -70,7 +66,6 @@ void FlightRecorder::Record(FrType type, uint32_t device_id, uint64_t addr,
     return;
   }
   rings_.Append([&](FlightRecord& r) {
-    r.ts_ns = NowNanos();
     r.addr = addr;
     r.size = size;
     r.arg = arg;

@@ -2,7 +2,7 @@
 //
 // Arthas's value proposition is *explaining* hard faults, so the timeline
 // of PM lifecycle events — store/persist/flush/drain, transaction begin/
-// add-range/commit/abort, checkpoint take/revert, fault injection, crash —
+// add-range/commit/abort, checkpoint revert, fault injection, crash —
 // must itself survive the crash it explains. The recorder therefore lives
 // in ordinary process memory (like the checkpoint log), deliberately
 // outside PmemDevice: Crash() discards unflushed PM lines but never the
@@ -15,7 +15,7 @@
 //     operation is one relaxed fetch_add on the global sequence counter
 //     that totally orders events across rings,
 //   * memory is bounded: kRingCapacity records per thread, fixed-size POD
-//     records (48 bytes), nothing allocated on the record path after the
+//     records (40 bytes), nothing allocated on the record path after the
 //     first event of a thread,
 //   * everything compiles out under ARTHAS_OBS_DISABLED via the
 //     ARTHAS_FLIGHT_RECORD macro (same per-TU discipline as obs/obs.h);
@@ -63,9 +63,9 @@ enum class FrType : uint8_t {
   // Pool allocator. addr/size = object range.
   kAlloc,
   kFree,
-  // Checkpoint log. addr = PM address, arg = checkpoint seq number.
-  kCheckpointTake,      // new version recorded (size = bytes copied)
-  kCheckpointEvict,     // oldest version folded out of the ring
+  // Checkpoint reversions. addr = PM address, arg = checkpoint seq number.
+  // (Taking a version emits nothing: the persist's own record and the
+  // log's seq index already say it.)
   kCheckpointRevert,    // RevertSeq restored a version (reason: divergence)
   kCheckpointRollback,  // RollbackToSeq discarded newer seqs (size = count)
   // Fault lifecycle. arg = fault GUID (when known), addr = fault address.
@@ -103,11 +103,11 @@ enum class FrReason : uint8_t {
 const char* FrTypeName(FrType type);
 const char* FrReasonName(FrReason reason);
 
-// Fixed-size POD record. 48 bytes so a thread ring of 8192 records costs
-// 384 KiB — bounded no matter how long the run is.
+// Fixed-size POD record. 40 bytes so a thread ring of 8192 records costs
+// 320 KiB — bounded no matter how long the run is. No timestamp: the
+// global seq orders events, and nothing reads wall time off a record.
 struct FlightRecord {
   uint64_t seq = 0;     // global total order (1-based)
-  int64_t ts_ns = 0;    // monotonic timestamp
   uint64_t addr = 0;    // see FrType
   uint64_t size = 0;
   uint64_t arg = 0;
@@ -116,13 +116,13 @@ struct FlightRecord {
   FrType type = FrType::kNone;
   FrReason reason = FrReason::kNone;
 };
-static_assert(sizeof(FlightRecord) == 48, "records are fixed-size");
+static_assert(sizeof(FlightRecord) == 40, "records are fixed-size");
 
 class FlightRecorder {
  public:
   // Per-thread ring capacity (records). Power of two; the default holds
   // the full event history of every harness cell while bounding a thread's
-  // footprint at 384 KiB.
+  // footprint at 320 KiB.
   static constexpr size_t kDefaultRingCapacity = 8192;
 
   explicit FlightRecorder(size_t ring_capacity = kDefaultRingCapacity);

@@ -1,10 +1,13 @@
 // Tests for the versioned checkpoint log: recording at durability points,
 // version rings, transaction grouping, realloc linkage, reversion.
 
+#include <algorithm>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <vector>
 
 #include "checkpoint/checkpoint_log.h"
+#include "common/rng.h"
 #include "pmem/pool.h"
 #include "pmem/tx.h"
 
@@ -176,6 +179,155 @@ TEST_F(CheckpointTest, OverlappingFindsCoveringEntry) {
   auto hits = log_->Overlapping(oid.off + 50, 1);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0]->address, oid.off);
+}
+
+// Overlapping answers from per-shard cache-line indexes; this checks it
+// against a brute-force scan of every entry under the same extent rule,
+// for entries that grew, were realloc-linked, evicted versions or span
+// hundreds of lines, before and after a Serialize/Restore round trip.
+class OverlappingEquivalenceTest : public ::testing::Test {
+ protected:
+  static size_t ExtentOf(const CheckpointEntry& entry) {
+    return std::max(entry.original.size(),
+                    entry.versions.empty()
+                        ? size_t{0}
+                        : entry.versions.back().data.size());
+  }
+
+  static std::vector<PmOffset> BruteForce(const CheckpointLog& log,
+                                          PmOffset offset, size_t size) {
+    std::vector<PmOffset> out;
+    log.ForEachEntry([&](const CheckpointEntry& entry) {
+      if (entry.address < offset + size &&
+          offset < entry.address + ExtentOf(entry)) {
+        out.push_back(entry.address);
+      }
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  static void ExpectSame(const CheckpointLog& log, PmOffset offset,
+                         size_t size) {
+    std::vector<PmOffset> got;
+    for (const CheckpointEntry* entry : log.Overlapping(offset, size)) {
+      got.push_back(entry->address);
+    }
+    ASSERT_EQ(got, BruteForce(log, offset, size))
+        << "query [" << offset << ", +" << size << ")";
+  }
+
+  // Queries the first byte, last byte and one-past-end of every entry's
+  // extent, the byte before it, a multi-line range around its start and
+  // its whole extent, plus random ranges over the heap.
+  static void CheckAll(const CheckpointLog& log, PmOffset lo, PmOffset hi,
+                       Rng& rng) {
+    std::vector<std::pair<PmOffset, size_t>> extents;
+    log.ForEachEntry([&](const CheckpointEntry& entry) {
+      extents.emplace_back(entry.address, ExtentOf(entry));
+    });
+    ASSERT_FALSE(extents.empty());
+    for (const auto& [address, extent] : extents) {
+      ExpectSame(log, address, 1);
+      ExpectSame(log, address + extent - 1, 1);
+      ExpectSame(log, address + extent, 1);
+      ExpectSame(log, address - 1, 1);
+      ExpectSame(log, address - 70, 200);
+      ExpectSame(log, address, extent);
+    }
+    for (int i = 0; i < 2000; i++) {
+      const PmOffset offset = lo + rng.NextU64() % (hi - lo);
+      const size_t size = 1 + rng.NextU64() % (i % 4 == 0 ? 600 : 8);
+      ExpectSame(log, offset, size);
+    }
+  }
+
+  // Writes random bytes over [offset, offset + size) of `oid` and
+  // persists them.
+  void Scribble(Oid oid, size_t offset, size_t size) {
+    auto* bytes = pool_->Direct<uint8_t>(oid) + offset;
+    for (size_t i = 0; i < size; i++) {
+      bytes[i] = static_cast<uint8_t>(rng_.NextU64());
+    }
+    pool_->Persist(oid, offset, size);
+  }
+
+  // Random persists over `objects`: sub-ranges at random starts (many
+  // share a start, so later larger ones grow the entry) and whole-object
+  // rewrites, all evicting through a two-version ring.
+  void RandomPersists(const std::vector<std::pair<Oid, size_t>>& objects,
+                      int count) {
+    for (int i = 0; i < count; i++) {
+      const auto& [oid, size] = objects[rng_.NextU64() % objects.size()];
+      const size_t start = (rng_.NextU64() % 4) * 24 % size;
+      const size_t len = 1 + rng_.NextU64() % (size - start);
+      Scribble(oid, start, len);
+    }
+  }
+
+  std::unique_ptr<PmemPool> pool_ = *PmemPool::Create("overlap", 1 << 20);
+  std::unique_ptr<CheckpointLog> log_ = std::make_unique<CheckpointLog>(
+      *pool_, CheckpointConfig{/*max_versions=*/2});
+  Rng rng_{0x0E71A9};
+};
+
+TEST_F(OverlappingEquivalenceTest, MatchesBruteForceScan) {
+  std::vector<std::pair<Oid, size_t>> objects;
+  PmOffset lo = ~PmOffset{0};
+  PmOffset hi = 0;
+  auto track = [&](Oid oid, size_t size) {
+    objects.emplace_back(oid, size);
+    lo = std::min(lo, oid.off);
+    hi = std::max(hi, oid.off + size);
+  };
+  for (int i = 0; i < 120; i++) {
+    const size_t size = 16 + rng_.NextU64() % 500;
+    track(*pool_->Zalloc(size), size);
+  }
+
+  // Growth at a known address: a one-line entry becomes a four-line one.
+  const Oid grown = *pool_->Zalloc(256);
+  track(grown, 256);
+  Scribble(grown, 0, 8);
+  ASSERT_EQ(log_->Find(grown.off)->original.size(), 8u);
+  Scribble(grown, 0, 256);
+  ASSERT_EQ(log_->Find(grown.off)->original.size(), 256u);
+
+  // One entry of more than 32 KiB (over 500 lines).
+  const size_t table_size = 40 * 1024;
+  const Oid table = *pool_->Zalloc(table_size);
+  track(table, table_size);
+  Scribble(table, 0, table_size);
+  ASSERT_EQ(log_->Find(table.off)->original.size(), table_size);
+
+  // A realloc-created entry: its extent is the new size before any
+  // persist lands there.
+  const Oid moved = *pool_->Realloc(objects[1].first, 3000);
+  ASSERT_NE(moved.off, objects[1].first.off);
+  ASSERT_NE(log_->Find(moved.off), nullptr);
+  objects.erase(objects.begin() + 1);
+  track(moved, 3000);
+
+  RandomPersists(objects, 3000);
+  EXPECT_GT(log_->stats().records.load(),
+            static_cast<uint64_t>(log_->entry_count()) * 2)
+      << "persists should evict from the two-version rings";
+  CheckAll(*log_, lo - 256, hi + 256, rng_);
+
+  // The restored log rebuilds its indexes from the image and keeps them
+  // exact as it records more: new entries, growth, evictions.
+  const auto image = log_->Serialize();
+  log_->Detach();
+  CheckpointLog fresh(*pool_, CheckpointConfig{/*max_versions=*/2});
+  ASSERT_TRUE(fresh.Restore(image).ok());
+  CheckAll(fresh, lo - 256, hi + 256, rng_);
+  const Oid late = *pool_->Zalloc(400);
+  track(late, 400);
+  Scribble(late, 0, 8);
+  Scribble(late, 0, 400);
+  ASSERT_EQ(fresh.Find(late.off)->original.size(), 400u);
+  RandomPersists(objects, 1000);
+  CheckAll(fresh, lo - 256, hi + 256, rng_);
 }
 
 TEST_F(CheckpointTest, LocateSeqFindsEntryAndVersion) {

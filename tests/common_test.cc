@@ -2,6 +2,7 @@
 // the typed persistent-pointer layer.
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -107,6 +108,38 @@ TEST(Crc32Test, SeedChaining) {
   const uint32_t whole = Crc32c("abcdef", 6);
   const uint32_t chained = Crc32c("def", 3, Crc32c("abc", 3));
   EXPECT_EQ(whole, chained);
+}
+
+// Byte-by-byte, bit-at-a-time CRC32C straight from the reflected
+// polynomial: the reference the sliced Crc32c must match.
+uint32_t ReferenceCrc32c(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; i++) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; bit++) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  Rng rng(0xC5C32);
+  std::vector<uint8_t> buffer(600 + 8);
+  for (uint8_t& byte : buffer) {
+    byte = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (size_t size = 0; size <= 600; size++) {
+    for (size_t start = 0; start < 8; start++) {
+      const uint32_t seed = static_cast<uint32_t>(rng.NextU64());
+      const uint8_t* data = buffer.data() + start;
+      ASSERT_EQ(Crc32c(data, size, seed), ReferenceCrc32c(data, size, seed))
+          << "size " << size << " start " << start << " seed " << seed;
+    }
+    ASSERT_EQ(Crc32c(buffer.data(), size),
+              ReferenceCrc32c(buffer.data(), size, 0))
+        << "size " << size;
+  }
 }
 
 // --- Clock -----------------------------------------------------------------------

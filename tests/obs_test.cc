@@ -389,7 +389,6 @@ TEST(ArtifactsTest, ExperimentCellProducesAcceptanceMetrics) {
   GTEST_SKIP() << "instrumentation macros are compiled out in this build";
 #endif
   ClearCellRecords();
-  obs::SpanTracer::Global().Clear();
 
   const ExperimentResult result =
       RunCell(FaultId::kF1RefcountOverflow, Solution::kArthas);
@@ -476,6 +475,21 @@ TEST(ArtifactsTest, ExperimentCellProducesAcceptanceMetrics) {
   // The text summary renders without dying and mentions the histograms.
   const std::string summary = RenderMetricsSummary();
   EXPECT_NE(summary.find("checkpoint.serialize.ns"), std::string::npos);
+}
+
+// A loop of cells that clears between rounds must not accumulate spans:
+// the global tracer only ever grows otherwise.
+TEST(ArtifactsTest, ClearCellRecordsDropsTheCellsSpans) {
+#ifdef ARTHAS_OBS_DISABLED
+  GTEST_SKIP() << "spans are compiled out in this build";
+#endif
+  ClearCellRecords();
+  RunCell(FaultId::kF1RefcountOverflow, Solution::kArthas);
+  EXPECT_FALSE(CellRecords().empty());
+  EXPECT_GT(obs::SpanTracer::Global().size(), 0u);
+  ClearCellRecords();
+  EXPECT_TRUE(CellRecords().empty());
+  EXPECT_EQ(obs::SpanTracer::Global().size(), 0u);
 }
 
 }  // namespace
